@@ -19,7 +19,7 @@ fn bench_pipeline(c: &mut Criterion) {
         };
         let inst = long_only(&params, 7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
-            b.iter(|| schedule_long_windows(inst, &LongWindowOptions::default()).unwrap())
+            b.iter(|| schedule_long_windows(inst, &LongWindowOptions::default(), None).unwrap())
         });
     }
     group.finish();
@@ -43,6 +43,7 @@ fn bench_lp_only(c: &mut Criterion) {
                     inst.calib_len(),
                     3 * inst.machines(),
                     &Default::default(),
+                    None,
                 )
                 .unwrap()
             })

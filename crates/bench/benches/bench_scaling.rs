@@ -43,6 +43,7 @@ fn bench_round_and_edf(c: &mut Criterion) {
             inst.calib_len(),
             3 * inst.machines(),
             &Default::default(),
+            None,
         )
         .expect("feasible");
         group.bench_with_input(BenchmarkId::new("round", n), &sol, |b, sol| {

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_mm::{ExactMm, GreedyMm};
-use ise_sched::short_window::schedule_short_windows;
+use ise_sched::short_window::{schedule_short_windows_with, CrossingPolicy};
 use ise_workloads::{short_only, WorkloadParams};
 
 fn bench_exact_backend(c: &mut Criterion) {
@@ -17,7 +17,14 @@ fn bench_exact_backend(c: &mut Criterion) {
         };
         let inst = short_only(&params, 11);
         group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
-            b.iter(|| schedule_short_windows(inst, &ExactMm::default()).unwrap())
+            b.iter(|| {
+                schedule_short_windows_with(
+                    inst,
+                    &ExactMm::default(),
+                    CrossingPolicy::ExtraMachines,
+                )
+                .unwrap()
+            })
         });
     }
     group.finish();
@@ -34,7 +41,9 @@ fn bench_greedy_backend(c: &mut Criterion) {
         };
         let inst = short_only(&params, 11);
         group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
-            b.iter(|| schedule_short_windows(inst, &GreedyMm).unwrap())
+            b.iter(|| {
+                schedule_short_windows_with(inst, &GreedyMm, CrossingPolicy::ExtraMachines).unwrap()
+            })
         });
     }
     group.finish();

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_bench::perf::{suite, DENSE_COL_CAP};
-use ise_sched::lp::{build, solve_lp_warm};
+use ise_sched::lp::{build, solve_lp};
 use ise_simplex::{Factorization, Pricing, SolveOptions, WorkspaceHandle};
 
 fn bench_cold(c: &mut Criterion) {
@@ -33,7 +33,7 @@ fn bench_cold(c: &mut Criterion) {
                 ..SolveOptions::default()
             };
             group.bench_with_input(BenchmarkId::new(path, &spec.name), &tise, |b, tise| {
-                b.iter(|| solve_lp_warm(tise, &opts, None).unwrap())
+                b.iter(|| solve_lp(tise, &opts, None).unwrap())
             });
         }
     }
@@ -52,7 +52,7 @@ fn bench_warm(c: &mut Criterion) {
         // skipped. Each pricing rule also runs with a shared workspace —
         // the steady-state serving configuration with allocation-free
         // iterations.
-        let cold = solve_lp_warm(
+        let cold = solve_lp(
             &build(&jobs, instance.calib_len(), budget),
             &SolveOptions::default(),
             None,
@@ -72,7 +72,7 @@ fn bench_warm(c: &mut Criterion) {
                 ..SolveOptions::default()
             };
             group.bench_with_input(BenchmarkId::new(path, &spec.name), &perturbed, |b, tise| {
-                b.iter(|| solve_lp_warm(tise, &opts, Some(&basis)).unwrap())
+                b.iter(|| solve_lp(tise, &opts, Some(&basis)).unwrap())
             });
         }
     }

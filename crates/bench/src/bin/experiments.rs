@@ -16,7 +16,7 @@ use ise_sched::lower_bound::lower_bound;
 use ise_sched::lp::relax_and_solve;
 use ise_sched::points::{calibration_points, calibration_points_with};
 use ise_sched::rounding::{assign_machines, augmented_round, round_calibrations};
-use ise_sched::short_window::{schedule_short_windows, GAMMA};
+use ise_sched::short_window::{schedule_short_windows_with, CrossingPolicy, GAMMA};
 use ise_sched::speed_transform::trade_machines_for_speed;
 use ise_sched::{solve, SolverOptions};
 use ise_workloads::{long_only, short_only, stockpile, uniform, unit_jobs, WorkloadParams};
@@ -193,7 +193,7 @@ fn fig3() {
         ise_model::Job::new(4, 14, 58, 8),
     ];
     let t = ise_model::Dur(10);
-    let sol = relax_and_solve(&jobs, t, 3, &Default::default()).expect("LP solves");
+    let sol = relax_and_solve(&jobs, t, 3, &Default::default(), None).expect("LP solves");
     let out = augmented_round(&jobs, &sol, t);
     let mut table = Table::new(["job", "p_j", "assigned fraction", ">= 1?"]);
     for (j, total) in out.job_totals.iter().enumerate() {
@@ -250,7 +250,7 @@ fn t12() {
                 horizon: 40 * n as i64,
             };
             let inst = long_only(&params, seed);
-            let out = match schedule_long_windows(&inst, &LongWindowOptions::default()) {
+            let out = match schedule_long_windows(&inst, &LongWindowOptions::default(), None) {
                 Ok(o) => o,
                 Err(e) => {
                     println!("(n={n}, m={m}, seed={seed}: {e})");
@@ -303,7 +303,7 @@ fn t14() {
                 horizon: 30 * n as i64,
             };
             let inst = long_only(&params, seed);
-            let Ok(long) = schedule_long_windows(&inst, &LongWindowOptions::default()) else {
+            let Ok(long) = schedule_long_windows(&inst, &LongWindowOptions::default(), None) else {
                 continue;
             };
             let c = long.schedule.machines_used().max(1);
@@ -357,7 +357,9 @@ fn t20() {
             horizon: 25 * n as i64,
         };
         let inst = short_only(&params, seed);
-        let out = schedule_short_windows(&inst, &ExactMm::default()).ok()?;
+        let out =
+            schedule_short_windows_with(&inst, &ExactMm::default(), CrossingPolicy::ExtraMachines)
+                .ok()?;
         validate(&inst, &out.schedule).expect("valid");
         let bound = lower_bound(&inst, &Default::default());
         let w_star = out
@@ -617,6 +619,7 @@ fn a1() {
                 inst.calib_len(),
                 3 * inst.machines(),
                 &Default::default(),
+                None,
             ) else {
                 continue;
             };
@@ -663,7 +666,7 @@ fn a2() {
                 horizon: 12 * n as i64,
             };
             let inst = long_only(&params, seed);
-            let Ok(long) = schedule_long_windows(&inst, &LongWindowOptions::default()) else {
+            let Ok(long) = schedule_long_windows(&inst, &LongWindowOptions::default(), None) else {
                 continue;
             };
             // The pipeline output is already TISE, so feed it through the
@@ -709,6 +712,7 @@ fn a3() {
                 inst.calib_len(),
                 3 * inst.machines(),
                 &Default::default(),
+                None,
             ) else {
                 continue;
             };
@@ -740,7 +744,6 @@ fn a4() {
         "A4",
         "ablation: footnote-3 relaxed variant (overlapping calibrations allowed)",
     );
-    use ise_sched::short_window::{schedule_short_windows_with, CrossingPolicy};
     let mut table = Table::new([
         "n",
         "seed",
@@ -859,7 +862,7 @@ fn sp1() {
     )
     .unwrap();
     for s in 1..=4i64 {
-        match solve_with_speed(&inst, &SolverOptions::default(), s) {
+        match solve_with_speed(&inst, &SolverOptions::default(), s, None) {
             Ok(out) => {
                 validate(&inst, &out.schedule).expect("valid");
                 table.row([
@@ -977,7 +980,7 @@ fn m1() {
             ];
             let mut ok = true;
             for backend in backends {
-                match schedule_short_windows(&inst, backend) {
+                match schedule_short_windows_with(&inst, backend, CrossingPolicy::ExtraMachines) {
                     Ok(out) => {
                         validate(&inst, &out.schedule).expect("valid");
                         let mut trimmed = out.schedule.clone();
@@ -1173,6 +1176,7 @@ fn s1() {
             inst.calib_len(),
             3 * inst.machines(),
             &Default::default(),
+            None,
         ) {
             iters = sol.iterations;
         }

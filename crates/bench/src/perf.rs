@@ -16,7 +16,7 @@
 //! thresholded backstop.
 
 use ise_model::{Instance, Job};
-use ise_sched::lp::{build, solve_lp_warm, TiseLp};
+use ise_sched::lp::{build, solve_lp, TiseLp};
 use ise_sched::{solve, SolverOptions};
 use ise_simplex::SolveOptions as LpOptions;
 use ise_workloads::{ill_conditioned, long_only, uniform, WorkloadParams};
@@ -255,7 +255,7 @@ fn time_solves(
     let mut last = None;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
-        let sol = solve_lp_warm(tise, opts, warm).map_err(|e| e.to_string())?;
+        let sol = solve_lp(tise, opts, warm).map_err(|e| e.to_string())?;
         let ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         best = best.min(ns);
         last = Some(sol);

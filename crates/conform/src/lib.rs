@@ -11,7 +11,7 @@
 //! The pieces:
 //!
 //! * [`oracle`] — the cross-check stack ([`Oracle`], [`check_instance`]).
-//! * [`shrink`] — greedy delta-debugging minimizer for failing instances.
+//! * [`shrink`](mod@shrink) — greedy delta-debugging minimizer for failing instances.
 //! * [`corpus`] — JSON repro emit + replay (`ise fuzz --replay`).
 //! * [`fuzz`] — the driver loop tying generation, checking, and shrinking
 //!   together; the `ise fuzz` CLI is a thin wrapper around it.

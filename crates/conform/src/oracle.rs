@@ -50,7 +50,9 @@ use ise_sched::exact::{optimal, ExactOptions};
 use ise_sched::lower_bound::lower_bound;
 use ise_sched::short_window::GAMMA;
 use ise_sched::tise::to_tise;
-use ise_sched::{audit, solve, SchedError, SolveOutcome, SolverOptions};
+use ise_sched::{
+    audit, solve, solve_incremental, SchedError, SolveOutcome, SolveReuse, SolverOptions,
+};
 use std::fmt;
 
 /// One member of the oracle stack.
@@ -519,9 +521,11 @@ fn check_warm(instance: &Instance, base: &Base) -> Result<(), Discrepancy> {
     let Some(basis) = &long.fractional.basis else {
         return Ok(());
     };
-    let mut opts = SolverOptions::default();
-    opts.long.warm_basis = Some(basis.clone());
-    let warm = match solve(instance, &opts) {
+    let mut reuse = SolveReuse {
+        warm_basis: Some(basis.clone()),
+        ..SolveReuse::new()
+    };
+    let warm = match solve_incremental(instance, &SolverOptions::default(), &mut reuse) {
         Ok(w) => w,
         Err(e) => {
             return Err(disc(

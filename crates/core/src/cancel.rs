@@ -4,7 +4,7 @@
 //! another thread via [`CancelToken::cancel`]) with an optional wall-clock
 //! deadline fixed at construction. The solver pipelines poll the token at
 //! phase boundaries and inside their search loops and bail out with
-//! [`SchedError::Cancelled`](crate::SchedError::Cancelled); cancellation is
+//! [`SchedError::Cancelled`]; cancellation is
 //! therefore prompt but not preemptive — a single simplex pivot or MM
 //! feasibility probe runs to completion.
 //!

@@ -13,10 +13,9 @@
 //! `18m` machines with at most `12·C*` calibrations, where `C*` is the
 //! optimal number of calibrations for the ISE instance on `m` machines.
 
-use crate::cancel::CancelToken;
 use crate::edf::{assign_jobs, mirror};
 use crate::error::SchedError;
-use crate::lp::{relax_and_solve_warm, FractionalSolution};
+use crate::lp::{check_interrupt, relax_and_solve, FractionalSolution};
 use crate::rounding::{assign_machines, round_calibrations};
 use ise_model::{Instance, Schedule};
 use ise_simplex::{Basis, SolveOptions};
@@ -30,17 +29,11 @@ pub struct LongWindowOptions {
     /// Mirror the rounded calendar before EDF (Lemma 9). Disabling is for
     /// ablation A1 only: EDF may then leave jobs unscheduled.
     pub mirror: bool,
-    /// LP solver options.
-    pub lp: SolveOptions,
-    /// Cooperative cancellation hook; polled around the LP and EDF phases
-    /// and wired into the simplex pivot loop. The default token never
-    /// fires. [`crate::solve`] overrides this with its own
+    /// LP solver options. Its `interrupt` is the pipeline's cancellation
+    /// hook: polled before the LP build, between the LP and rounding, and
+    /// inside the simplex pivot loop. [`crate::solve`] sets it from
     /// [`crate::SolverOptions::cancel`].
-    pub cancel: CancelToken,
-    /// Optional warm-start basis from a previous LP solve of the same jobs
-    /// and calibration length (e.g. at a different machine budget). An
-    /// incompatible basis is silently ignored.
-    pub warm_basis: Option<Basis>,
+    pub lp: SolveOptions,
 }
 
 impl Default for LongWindowOptions {
@@ -49,8 +42,6 @@ impl Default for LongWindowOptions {
             threshold: 0.5,
             mirror: true,
             lp: SolveOptions::default(),
-            cancel: CancelToken::default(),
-            warm_basis: None,
         }
     }
 }
@@ -69,10 +60,14 @@ pub struct LongWindowOutcome {
 }
 
 /// Run the pipeline on a long-window instance. The machine budget for the
-/// LP is `3 × instance.machines()` per Lemma 2.
+/// LP is `3 × instance.machines()` per Lemma 2. `warm` is an optional
+/// warm-start basis from a previous LP solve of the same jobs and
+/// calibration length (e.g. at a different machine budget); an
+/// incompatible basis is silently ignored.
 pub fn schedule_long_windows(
     instance: &Instance,
     opts: &LongWindowOptions,
+    warm: Option<&Basis>,
 ) -> Result<LongWindowOutcome, SchedError> {
     if !instance.all_long() {
         return Err(SchedError::Precondition {
@@ -82,15 +77,8 @@ pub fn schedule_long_windows(
     let calib_len = instance.calib_len();
     let m_prime = 3 * instance.machines();
 
-    let fractional = relax_and_solve_warm(
-        instance.jobs(),
-        calib_len,
-        m_prime,
-        &opts.lp,
-        &opts.cancel,
-        opts.warm_basis.as_ref(),
-    )?;
-    opts.cancel.check()?;
+    let fractional = relax_and_solve(instance.jobs(), calib_len, m_prime, &opts.lp, warm)?;
+    check_interrupt(&opts.lp)?;
     let round_span = ise_obs::Span::enter("long.round");
     let times = round_calibrations(&fractional.points, &fractional.c, opts.threshold);
     let bank = assign_machines(&times, calib_len);
@@ -131,7 +119,7 @@ mod tests {
     use ise_model::{validate, validate_tise, Instance};
 
     fn run(inst: &Instance) -> LongWindowOutcome {
-        schedule_long_windows(inst, &LongWindowOptions::default()).unwrap()
+        schedule_long_windows(inst, &LongWindowOptions::default(), None).unwrap()
     }
 
     #[test]
@@ -178,7 +166,7 @@ mod tests {
     fn rejects_short_jobs() {
         let inst = Instance::new([(0, 15, 4)], 1, 10).unwrap();
         assert!(matches!(
-            schedule_long_windows(&inst, &LongWindowOptions::default()),
+            schedule_long_windows(&inst, &LongWindowOptions::default(), None),
             Err(SchedError::Precondition { .. })
         ));
     }
@@ -217,7 +205,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            schedule_long_windows(&inst, &LongWindowOptions::default()),
+            schedule_long_windows(&inst, &LongWindowOptions::default(), None),
             Err(SchedError::Infeasible { .. })
         ));
     }
@@ -233,5 +221,30 @@ mod tests {
         starts.sort_unstable();
         starts.dedup();
         assert!(starts.len() >= 2);
+    }
+
+    #[test]
+    fn fired_interrupt_cancels_before_the_lp_is_built() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        /// Always fired; counts polls so the test sees where the run stopped.
+        #[derive(Default)]
+        struct Fired(AtomicUsize);
+        impl ise_simplex::Interrupt for Fired {
+            fn interrupted(&self) -> bool {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+        }
+        let inst = Instance::new([(0, 40, 7), (5, 50, 6)], 1, 10).unwrap();
+        let fired = Arc::new(Fired::default());
+        let mut opts = LongWindowOptions::default();
+        opts.lp.interrupt = Some(ise_simplex::InterruptHandle::new(fired.clone()));
+        assert!(matches!(
+            schedule_long_windows(&inst, &opts, None),
+            Err(SchedError::Cancelled)
+        ));
+        // One poll only: the one ahead of the LP build.
+        assert_eq!(fired.0.load(Ordering::Relaxed), 1);
     }
 }

@@ -88,6 +88,7 @@ fn lp_bound(instance: &Instance, lp_opts: &SolveOptions) -> Option<u64> {
         instance.calib_len(),
         3 * instance.machines(),
         lp_opts,
+        None,
     )
     .ok()?;
     // Prefer the dual certificate (a true lower bound on the LP optimum by

@@ -24,7 +24,6 @@
 //! turn a fractional solution into an integer schedule with constant-factor
 //! loss.
 
-use crate::cancel::CancelToken;
 use crate::error::SchedError;
 use crate::points::{calibration_points, feasible_range};
 use ise_model::{Dur, Job, Time};
@@ -79,12 +78,12 @@ pub struct FractionalSolution {
     /// Numerical-health telemetry from the simplex: residual-monitor
     /// readings, recovery-ladder activations, ratio-test statistics.
     pub numerics: NumericsReport,
-    /// The optimal basis of the (presolved) LP; feed it back via
-    /// [`relax_and_solve_warm`] when re-solving the same jobs with a
+    /// The optimal basis of the (presolved) LP; feed it back as the `warm`
+    /// argument of [`relax_and_solve`] when re-solving the same jobs with a
     /// perturbed machine budget.
     pub basis: Option<Basis>,
     /// Wall-clock microseconds spent building the LP (0 when the caller
-    /// built it separately via [`build`] + [`solve_lp`]).
+    /// built it separately and called [`solve_lp`]).
     pub build_us: u64,
     /// Wall-clock microseconds spent in presolve + simplex.
     pub solve_us: u64,
@@ -164,14 +163,12 @@ pub fn build(jobs: &[Job], calib_len: Dur, machine_budget: usize) -> TiseLp {
 }
 
 /// Solve the TISE LP and verify the solution against all constraints.
-pub fn solve_lp(tise: &TiseLp, opts: &SolveOptions) -> Result<FractionalSolution, SchedError> {
-    solve_lp_warm(tise, opts, None)
-}
-
-/// [`solve_lp`] with an optional warm-start basis from a previous solve of
-/// a structurally identical LP (same jobs and calibration points; the
-/// machine budget — a pure right-hand-side change — may differ).
-pub fn solve_lp_warm(
+///
+/// `warm` is an optional warm-start basis from a previous solve of a
+/// structurally identical LP (same jobs and calibration points; the machine
+/// budget — a pure right-hand-side change — may differ). An incompatible
+/// basis is silently ignored and the solve runs cold.
+pub fn solve_lp(
     tise: &TiseLp,
     opts: &SolveOptions,
     warm: Option<&Basis>,
@@ -238,41 +235,19 @@ pub fn solve_lp_warm(
     })
 }
 
-/// Convenience: build and solve in one step.
+/// Build and solve in one step. `warm` is as for [`solve_lp`]: the basis
+/// must come from a previous solve of the **same jobs and calibration
+/// length**, the machine budget may differ (presolve's row structure is
+/// rhs-independent, so the basis carries over and phase 1 is skipped).
+///
+/// Cancellation arrives only through `opts.interrupt`: it is polled before
+/// and after the (potentially large) LP build and inside the simplex pivot
+/// loop, so a deadline aborts a solve mid-iteration.
 pub fn relax_and_solve(
     jobs: &[Job],
     calib_len: Dur,
     machine_budget: usize,
     opts: &SolveOptions,
-) -> Result<FractionalSolution, SchedError> {
-    relax_and_solve_cancellable(jobs, calib_len, machine_budget, opts, &CancelToken::new())
-}
-
-/// [`relax_and_solve`] with a cooperative cancellation hook: the token is
-/// polled before the (potentially large) LP is built and also wired into
-/// the simplex pivot loop (via [`CancelToken::interrupt_handle`]), so a
-/// deadline aborts a solve mid-iteration.
-pub fn relax_and_solve_cancellable(
-    jobs: &[Job],
-    calib_len: Dur,
-    machine_budget: usize,
-    opts: &SolveOptions,
-    cancel: &CancelToken,
-) -> Result<FractionalSolution, SchedError> {
-    relax_and_solve_warm(jobs, calib_len, machine_budget, opts, cancel, None)
-}
-
-/// The full-featured entry point: cancellable and warm-startable. The warm
-/// basis must come from a previous solve of the **same jobs and calibration
-/// length** — the machine budget may differ (it only changes the LP's
-/// right-hand side, and presolve's row structure is rhs-independent, so the
-/// basis carries over and phase 1 is skipped).
-pub fn relax_and_solve_warm(
-    jobs: &[Job],
-    calib_len: Dur,
-    machine_budget: usize,
-    opts: &SolveOptions,
-    cancel: &CancelToken,
     warm: Option<&Basis>,
 ) -> Result<FractionalSolution, SchedError> {
     // A job whose window cannot contain any calibration makes constraint
@@ -287,57 +262,23 @@ pub fn relax_and_solve_warm(
             ),
         });
     }
-    cancel.check()?;
+    check_interrupt(opts)?;
     let build_started = Instant::now();
     let tise = build(jobs, calib_len, machine_budget);
     let build_us = build_started.elapsed().as_micros() as u64;
-    cancel.check()?;
-    let mut lp_opts = opts.clone();
-    if lp_opts.interrupt.is_none() {
-        lp_opts.interrupt = Some(cancel.interrupt_handle());
-    }
-    let mut sol = solve_lp_warm(&tise, &lp_opts, warm)?;
+    check_interrupt(opts)?;
+    let mut sol = solve_lp(&tise, opts, warm)?;
     sol.build_us = build_us;
     Ok(sol)
 }
 
-/// Delta-aware convenience for incremental re-solves (`ise::session`): like
-/// [`relax_and_solve_warm`], but taking the whole previous
-/// [`FractionalSolution`] and extracting its optimal basis as the warm
-/// start. Callers hold on to the prior solution across instance edits; a
-/// basis that no longer matches the new LP's structure (the job set or
-/// calibration points changed shape) is silently ignored and the solve
-/// falls back cold.
-pub fn relax_and_solve_delta(
-    jobs: &[Job],
-    calib_len: Dur,
-    machine_budget: usize,
-    opts: &SolveOptions,
-    cancel: &CancelToken,
-    prior: Option<&FractionalSolution>,
-) -> Result<FractionalSolution, SchedError> {
-    relax_and_solve_warm(
-        jobs,
-        calib_len,
-        machine_budget,
-        opts,
-        cancel,
-        prior.and_then(|p| p.basis.as_ref()),
-    )
-}
-
-/// Rough estimate of the simplex iterations a **cold** solve of the LP
-/// behind `sol` would have spent: phase 1 plus phase 2 each cost on the
-/// order of one pivot per structural row of the TISE LP (one window-capacity
-/// and one work-capacity row per point, one assignment row per job, one
-/// coupling row per retained `X_jt` term). Clamped from below by the actual
-/// iteration count so "iterations saved" reported against this estimate is
-/// never negative. Used by the incremental-session telemetry; the bench
-/// suite reports *measured* cold iterations instead.
-pub fn cold_iteration_estimate(sol: &FractionalSolution) -> usize {
-    let x_terms: usize = sol.x.iter().map(Vec::len).sum();
-    let rows = 2 * sol.points.len() + sol.x.len() + x_terms;
-    rows.max(sol.iterations)
+/// Phase-boundary poll of `opts.interrupt`: `Err(SchedError::Cancelled)`
+/// once it has fired.
+pub(crate) fn check_interrupt(opts: &SolveOptions) -> Result<(), SchedError> {
+    match &opts.interrupt {
+        Some(handle) if handle.interrupted() => Err(SchedError::Cancelled),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -351,7 +292,7 @@ mod tests {
     #[test]
     fn single_long_job_needs_one_calibration() {
         let jobs = vec![Job::new(0, 0, 40, 5)];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert!(
             (sol.objective - 1.0).abs() < 1e-6,
             "objective {}",
@@ -365,7 +306,7 @@ mod tests {
     #[test]
     fn two_jobs_share_one_calibration() {
         let jobs = vec![Job::new(0, 0, 40, 5), Job::new(1, 0, 40, 5)];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert!(
             (sol.objective - 1.0).abs() < 1e-6,
             "objective {}",
@@ -382,7 +323,7 @@ mod tests {
             Job::new(1, 0, 40, 7),
             Job::new(2, 0, 40, 7),
         ];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert!(sol.objective >= 2.1 - 1e-6, "objective {}", sol.objective);
     }
 
@@ -394,10 +335,10 @@ mod tests {
         // calibrations fall within a 10-long range of each other, so
         // budget 1 allows only 1 simultaneous: infeasible fractionally.
         let jobs: Vec<Job> = (0..10).map(|i| Job::new(i, 0, 20, 10)).collect();
-        let result = relax_and_solve(&jobs, Dur(10), 1, &opts());
+        let result = relax_and_solve(&jobs, Dur(10), 1, &opts(), None);
         assert!(matches!(result, Err(SchedError::Infeasible { .. })));
         // With budget 5 it becomes feasible (5 at t=0, 5 at t=10).
-        let sol = relax_and_solve(&jobs, Dur(10), 5, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 5, &opts(), None).unwrap();
         assert!(sol.objective >= 10.0 - 1e-6);
     }
 
@@ -405,7 +346,7 @@ mod tests {
     fn window_shorter_than_t_is_infeasible() {
         let jobs = vec![Job::new(0, 0, 8, 5)];
         assert!(matches!(
-            relax_and_solve(&jobs, Dur(10), 3, &opts()),
+            relax_and_solve(&jobs, Dur(10), 3, &opts(), None),
             Err(SchedError::Infeasible { .. })
         ));
     }
@@ -420,7 +361,7 @@ mod tests {
             Job::new(2, 100, 130, 5),
             Job::new(3, 100, 130, 5),
         ];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert!(sol.objective <= 2.0 + 1e-6);
         assert!(sol.objective >= 1.0 - 1e-6); // separated: can't share
     }
@@ -432,7 +373,7 @@ mod tests {
             Job::new(1, 0, 45, 6),
             Job::new(2, 5, 50, 7),
         ];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         let dual = sol
             .certified_dual_bound
             .expect("dual certificate available");
@@ -451,12 +392,11 @@ mod tests {
             Job::new(1, 0, 45, 6),
             Job::new(2, 5, 50, 7),
         ];
-        let cancel = CancelToken::new();
-        let cold = relax_and_solve_warm(&jobs, Dur(10), 3, &opts(), &cancel, None).unwrap();
+        let cold = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert!(!cold.warm_used);
         let basis = cold.basis.clone().expect("optimal solve yields a basis");
         // Same jobs, perturbed machine budget: the basis must carry over.
-        let warm = relax_and_solve_warm(&jobs, Dur(10), 4, &opts(), &cancel, Some(&basis)).unwrap();
+        let warm = relax_and_solve(&jobs, Dur(10), 4, &opts(), Some(&basis)).unwrap();
         assert!(
             warm.warm_used,
             "rhs-only perturbation must accept the basis"
@@ -468,38 +408,19 @@ mod tests {
     }
 
     #[test]
-    fn delta_resolve_warm_starts_from_prior_solution() {
-        let jobs: Vec<Job> = vec![
-            Job::new(0, 0, 40, 7),
-            Job::new(1, 0, 45, 6),
-            Job::new(2, 5, 50, 7),
-        ];
-        let cancel = CancelToken::new();
-        let cold = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
-        let warm = relax_and_solve_delta(&jobs, Dur(10), 4, &opts(), &cancel, Some(&cold)).unwrap();
-        assert!(warm.warm_used, "prior basis must carry over an rhs change");
-        // Without a prior solution the wrapper is a plain cold solve.
-        let none = relax_and_solve_delta(&jobs, Dur(10), 4, &opts(), &cancel, None).unwrap();
-        assert!(!none.warm_used);
-        // The cold estimate never under-reports the actual work.
-        assert!(cold_iteration_estimate(&cold) >= cold.iterations);
-        assert!(cold_iteration_estimate(&warm) >= warm.iterations);
-    }
-
-    #[test]
     fn pricing_stats_flow_through() {
         let jobs = vec![Job::new(0, 0, 40, 7), Job::new(1, 0, 45, 6)];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert!(sol.pricing.cols_scanned > 0, "pricing effort must surface");
         // Deterministic: an identical solve reports identical counters.
-        let again = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let again = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert_eq!(sol.pricing, again.pricing);
     }
 
     #[test]
     fn numerics_report_flows_through() {
         let jobs = vec![Job::new(0, 0, 40, 7), Job::new(1, 0, 45, 6)];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         assert!(
             sol.numerics.residual_checks >= 1,
             "every LP solve gets at least the exit residual check"
@@ -510,14 +431,14 @@ mod tests {
 
     #[test]
     fn empty_jobs_solve_trivially() {
-        let sol = relax_and_solve(&[], Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&[], Dur(10), 3, &opts(), None).unwrap();
         assert_eq!(sol.objective, 0.0);
     }
 
     #[test]
     fn x_fractions_respect_c() {
         let jobs = vec![Job::new(0, 0, 40, 5), Job::new(1, 5, 45, 6)];
-        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts()).unwrap();
+        let sol = relax_and_solve(&jobs, Dur(10), 3, &opts(), None).unwrap();
         for (j, assignments) in sol.x.iter().enumerate() {
             for &(pi, f) in assignments {
                 assert!(

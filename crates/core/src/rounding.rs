@@ -279,7 +279,7 @@ mod tests {
             Job::new(3, 10, 55, 4),
         ];
         let calib_len = Dur(10);
-        let sol = relax_and_solve(&jobs, calib_len, 3, &SolveOptions::default()).unwrap();
+        let sol = relax_and_solve(&jobs, calib_len, 3, &SolveOptions::default(), None).unwrap();
         let out = augmented_round(&jobs, &sol, calib_len);
         // Lemma 5 invariants held throughout.
         assert!(

@@ -230,63 +230,39 @@ fn interval_key(mm_name: &str, calib_len: Dur, start: Time, jobs: &[Job]) -> u64
     h.finish()
 }
 
-/// Run Algorithms 4–5 on a short-window instance with the given MM black
-/// box.
-pub fn schedule_short_windows(
-    instance: &Instance,
-    mm: &dyn MachineMinimizer,
-) -> Result<ShortWindowOutcome, SchedError> {
-    schedule_short_windows_with(instance, mm, CrossingPolicy::ExtraMachines)
-}
-
-/// As [`schedule_short_windows`] with an explicit crossing-job policy
+/// As [`schedule_short_windows`] with no cancellation and no memo: the
+/// stateless Algorithms 4–5 under an explicit crossing-job policy
 /// (footnote 3 of the paper describes the relaxed variant).
 pub fn schedule_short_windows_with(
     instance: &Instance,
     mm: &dyn MachineMinimizer,
     policy: CrossingPolicy,
 ) -> Result<ShortWindowOutcome, SchedError> {
-    schedule_short_windows_cancellable(instance, mm, policy, &CancelToken::default())
+    schedule_short_windows(instance, mm, policy, &CancelToken::default(), None)
 }
 
-/// The full-featured entry point: explicit crossing policy plus a
-/// cooperative cancellation token, polled before every per-interval MM
-/// call. The per-interval MM calls of Algorithm 5 are independent, so they
-/// are fanned out across a bounded pool of scoped threads; the schedule is
-/// then emitted sequentially in interval order, so results are identical to
-/// a sequential run.
-pub fn schedule_short_windows_cancellable(
-    instance: &Instance,
-    mm: &dyn MachineMinimizer,
-    policy: CrossingPolicy,
-    cancel: &CancelToken,
-) -> Result<ShortWindowOutcome, SchedError> {
-    schedule_short_windows_inner(instance, mm, policy, cancel, None)
-}
-
-/// Delta-aware entry point: as [`schedule_short_windows_cancellable`], but
-/// per-interval MM results are served from (and recorded into) `memo`.
-/// Intervals whose job content is unchanged since a previous solve replay
-/// without an MM call; [`ShortWindowMemo::last_misses`] reports how many
-/// intervals had to be recomputed.
-pub fn schedule_short_windows_memoized(
-    instance: &Instance,
-    mm: &dyn MachineMinimizer,
-    policy: CrossingPolicy,
-    cancel: &CancelToken,
-    memo: &mut ShortWindowMemo,
-) -> Result<ShortWindowOutcome, SchedError> {
-    memo.begin_solve();
-    schedule_short_windows_inner(instance, mm, policy, cancel, Some(memo))
-}
-
-fn schedule_short_windows_inner(
+/// Run Algorithms 4–5 on a short-window instance with the given MM black
+/// box and crossing-job policy. `cancel` is polled before every
+/// per-interval MM call. The per-interval MM calls of Algorithm 5 are
+/// independent, so they are fanned out across a bounded pool of scoped
+/// threads; the schedule is then emitted sequentially in interval order, so
+/// results are identical to a sequential run.
+///
+/// With a `memo`, per-interval MM results are served from (and recorded
+/// into) it: intervals whose job content is unchanged since a previous
+/// solve replay without an MM call, and [`ShortWindowMemo::last_misses`]
+/// reports how many intervals had to be recomputed. Without one, no memo
+/// work is done.
+pub fn schedule_short_windows(
     instance: &Instance,
     mm: &dyn MachineMinimizer,
     policy: CrossingPolicy,
     cancel: &CancelToken,
     mut memo: Option<&mut ShortWindowMemo>,
 ) -> Result<ShortWindowOutcome, SchedError> {
+    if let Some(memo) = memo.as_deref_mut() {
+        memo.begin_solve();
+    }
     if !instance.all_short() {
         return Err(SchedError::Precondition {
             requirement: "short-window pipeline requires every job window < 2T",
@@ -584,7 +560,8 @@ mod tests {
     use ise_model::{validate, Instance};
 
     fn run(inst: &Instance) -> ShortWindowOutcome {
-        schedule_short_windows(inst, &ExactMm::default()).unwrap()
+        schedule_short_windows_with(inst, &ExactMm::default(), CrossingPolicy::ExtraMachines)
+            .unwrap()
     }
 
     #[test]
@@ -601,7 +578,7 @@ mod tests {
     fn rejects_long_jobs() {
         let inst = Instance::new([(0, 20, 5)], 1, 10).unwrap();
         assert!(matches!(
-            schedule_short_windows(&inst, &ExactMm::default()),
+            schedule_short_windows_with(&inst, &ExactMm::default(), CrossingPolicy::ExtraMachines),
             Err(SchedError::Precondition { .. })
         ));
     }
@@ -733,26 +710,26 @@ mod tests {
         let cancel = CancelToken::default();
         let inst =
             Instance::new([(0, 12, 6), (3, 17, 6), (20, 33, 8), (400, 412, 5)], 2, 10).unwrap();
-        let cold = schedule_short_windows(&inst, &mm).unwrap();
+        let cold = schedule_short_windows_with(&inst, &mm, CrossingPolicy::ExtraMachines).unwrap();
         let mut memo = ShortWindowMemo::new();
-        let first = schedule_short_windows_memoized(
+        let first = schedule_short_windows(
             &inst,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
         assert_eq!(first.schedule, cold.schedule);
         assert_eq!(memo.last_hits(), 0);
         assert_eq!(memo.last_misses(), cold.intervals.len());
         // Unchanged instance: every interval replays from the memo.
-        let second = schedule_short_windows_memoized(
+        let second = schedule_short_windows(
             &inst,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
         assert_eq!(second.schedule, cold.schedule);
@@ -770,27 +747,28 @@ mod tests {
         let before = Instance::new([(0, 12, 6), (400, 412, 5)], 2, 10).unwrap();
         let after = Instance::new([(0, 12, 6), (400, 412, 5), (403, 415, 4)], 2, 10).unwrap();
         let mut memo = ShortWindowMemo::new();
-        schedule_short_windows_memoized(
+        schedule_short_windows(
             &before,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
-        let out = schedule_short_windows_memoized(
+        let out = schedule_short_windows(
             &after,
             &mm,
             CrossingPolicy::ExtraMachines,
             &cancel,
-            &mut memo,
+            Some(&mut memo),
         )
         .unwrap();
         // Interval around t=0 is untouched (hit); the one around t=400
         // gained a job (miss). Ids shifted are irrelevant to the memo key.
         assert_eq!(memo.last_hits(), 1);
         assert_eq!(memo.last_misses(), 1);
-        let scratch = schedule_short_windows(&after, &mm).unwrap();
+        let scratch =
+            schedule_short_windows_with(&after, &mm, CrossingPolicy::ExtraMachines).unwrap();
         assert_eq!(out.schedule, scratch.schedule);
         validate(&after, &out.schedule).unwrap();
     }

@@ -10,8 +10,7 @@ use crate::cancel::CancelToken;
 use crate::error::SchedError;
 use crate::long_window::{schedule_long_windows, LongWindowOptions, LongWindowOutcome};
 use crate::short_window::{
-    schedule_short_windows_cancellable, schedule_short_windows_memoized, CrossingPolicy,
-    ShortWindowMemo, ShortWindowOutcome,
+    schedule_short_windows, CrossingPolicy, ShortWindowMemo, ShortWindowOutcome,
 };
 use ise_mm::{
     ExactMm, GreedyMm, LpRoundMm, MachineMinimizer, MmError, MmSchedule, Portfolio, UnitMm,
@@ -83,10 +82,11 @@ pub struct SolverOptions {
     /// feasibility; the paper's bounds are proved *without* trimming (its
     /// Algorithm 5 calibrates unconditionally), so experiments report both.
     pub trim_empty_calibrations: bool,
-    /// Cooperative cancellation hook. The default token never fires.
-    /// [`solve`] propagates this token into the long-window pipeline
-    /// (overriding `long.cancel`) and polls it between phases, so callers
-    /// set it in one place.
+    /// Cooperative cancellation hook, the only one in the pipeline. The
+    /// default token never fires. [`solve`] polls it between phases, hands
+    /// it to the short-window pipeline, and installs it as `long.lp`'s
+    /// `interrupt` (overriding any caller-set hook), which reaches the
+    /// long-window phase boundaries and the simplex pivot loop.
     pub cancel: CancelToken,
 }
 
@@ -116,21 +116,6 @@ fn mm_black_box(backend: MmBackend) -> Box<dyn MachineMinimizer> {
         MmBackend::Unit => Box::new(UnitMm),
         MmBackend::LpRound => Box::new(LpRoundMm::default()),
         MmBackend::Portfolio => Box::new(Portfolio::standard()),
-    }
-}
-
-/// Dispatch the short-window pipeline for the configured MM backend,
-/// optionally routing per-interval MM calls through a memo.
-fn run_short_pipeline(
-    sub: &Instance,
-    opts: &SolverOptions,
-    memo: Option<&mut ShortWindowMemo>,
-) -> Result<ShortWindowOutcome, SchedError> {
-    let policy = CrossingPolicy::ExtraMachines;
-    let mm = mm_black_box(opts.mm);
-    match memo {
-        Some(memo) => schedule_short_windows_memoized(sub, mm.as_ref(), policy, &opts.cancel, memo),
-        None => schedule_short_windows_cancellable(sub, mm.as_ref(), policy, &opts.cancel),
     }
 }
 
@@ -165,14 +150,15 @@ pub fn solve(instance: &Instance, opts: &SolverOptions) -> Result<SolveOutcome, 
 
 /// Cross-solve state reused by the incremental (delta-solving) entry point
 /// [`solve_incremental`] — the optimal LP basis of the previous long-window
-/// solve plus the per-interval MM memo of the short-window pipeline. Owned
-/// by an `ise::session::Session`; a fresh default value makes
-/// [`solve_incremental`] behave exactly like a cold [`solve`].
+/// solve, the per-interval MM memo of the short-window pipeline, and the
+/// simplex workspace. The one carrier of warm-start state: an
+/// `ise::session::Session` owns one across commits, and the engine builds
+/// one per request from its basis cache. A fresh default value makes
+/// [`solve_incremental`] produce exactly the schedule of a cold [`solve`].
 #[derive(Debug, Default)]
 pub struct SolveReuse {
-    /// Warm-start basis for the long-window LP (fed through
-    /// [`LongWindowOptions::warm_basis`]; an incompatible basis is silently
-    /// ignored by the simplex).
+    /// Warm-start basis for the long-window LP (an incompatible basis is
+    /// silently ignored by the simplex).
     pub warm_basis: Option<Basis>,
     /// Per-interval MM memo for the short-window pipeline.
     pub memo: ShortWindowMemo,
@@ -191,22 +177,20 @@ impl SolveReuse {
 }
 
 /// Delta-aware entry point: as [`solve`], but the long-window LP is
-/// warm-started from `reuse.warm_basis` and short-window intervals replay
-/// from `reuse.memo` when their job content is unchanged. On success the
-/// reuse state is updated in place (new optimal basis, refreshed memo) so
-/// consecutive calls keep exploiting each other's work.
+/// warm-started from `reuse.warm_basis` in `reuse.workspace`, and
+/// short-window intervals replay from `reuse.memo` when their job content
+/// is unchanged. On success the reuse state is updated in place (new
+/// optimal basis, refreshed memo) so consecutive calls keep exploiting each
+/// other's work.
 pub fn solve_incremental(
     instance: &Instance,
     opts: &SolverOptions,
     reuse: &mut SolveReuse,
 ) -> Result<SolveOutcome, SchedError> {
-    let mut warm_opts = opts.clone();
-    warm_opts.long.warm_basis = reuse.warm_basis.clone();
-    warm_opts.long.lp.workspace = Some(reuse.workspace.clone());
     // Reset the per-solve memo counters here: the short-window half may not
     // run at all (no short jobs), and its stats must not carry over.
     reuse.memo.begin_solve();
-    let outcome = solve_inner(instance, &warm_opts, Some(&mut reuse.memo))?;
+    let outcome = solve_inner(instance, opts, Some(&mut *reuse))?;
     if let Some(basis) = outcome
         .long
         .as_ref()
@@ -220,7 +204,7 @@ pub fn solve_incremental(
 fn solve_inner(
     instance: &Instance,
     opts: &SolverOptions,
-    memo: Option<&mut ShortWindowMemo>,
+    reuse: Option<&mut SolveReuse>,
 ) -> Result<SolveOutcome, SchedError> {
     let _solve_span = ise_obs::Span::enter("solve");
     opts.cancel.check()?;
@@ -230,6 +214,10 @@ fn solve_inner(
     };
     let n_long = long_jobs.len();
     let n_short = short_jobs.len();
+    let (warm, workspace, memo) = match reuse {
+        Some(r) => (r.warm_basis.as_ref(), Some(&r.workspace), Some(&mut r.memo)),
+        None => (None, None, None),
+    };
 
     // The two pipelines are independent (disjoint jobs, disjoint machine
     // banks), so run them concurrently: the long side on a scoped thread,
@@ -243,21 +231,26 @@ fn solve_inner(
     let (long_res, short_res) = std::thread::scope(|s| {
         let long_handle = long_sub.as_ref().map(|sub| {
             let mut lopts = opts.long.clone();
-            lopts.cancel = opts.cancel.clone();
+            lopts.lp.interrupt = Some(opts.cancel.interrupt_handle());
+            if let Some(ws) = workspace {
+                lopts.lp.workspace = Some(ws.clone());
+            }
             // Carry the trace onto the worker thread so long-window spans
             // stay attached under `solve`.
             let ctx = ise_obs::SpanContext::current();
             s.spawn(move || {
                 let _trace = ctx.install();
                 let _span = ise_obs::Span::enter("solve.long");
-                schedule_long_windows(sub, &lopts)
+                schedule_long_windows(sub, &lopts, warm)
             })
         });
         let short_res = match short_sub.as_ref() {
             None => Ok(None),
             Some(sub) => {
                 let _span = ise_obs::Span::enter("solve.short");
-                run_short_pipeline(sub, opts, memo).map(Some)
+                let mm = mm_black_box(opts.mm);
+                let policy = CrossingPolicy::ExtraMachines;
+                schedule_short_windows(sub, mm.as_ref(), policy, &opts.cancel, memo).map(Some)
             }
         };
         let long_res = match long_handle {
@@ -310,17 +303,27 @@ fn solve_inner(
 /// Speed augmentation enlarges the feasible set: instances that are
 /// infeasible at speed 1 (e.g. Partition-style packings) become feasible —
 /// the paper's point that *any* polynomial algorithm needs augmentation.
+///
+/// With `reuse`, the refined instance is solved by [`solve_incremental`]
+/// (warm start, memo, workspace); without it, by the stateless [`solve`].
 pub fn solve_with_speed(
     instance: &Instance,
     opts: &SolverOptions,
     speed: i64,
+    reuse: Option<&mut SolveReuse>,
 ) -> Result<SolveOutcome, SchedError> {
     assert!(speed >= 1, "speed must be >= 1");
-    if speed == 1 {
-        return solve(instance, opts);
-    }
-    let refined = try_refine_for_speed(instance, speed)?;
-    let mut outcome = solve(&refined, opts)?;
+    let refined;
+    let target = if speed == 1 {
+        instance
+    } else {
+        refined = try_refine_for_speed(instance, speed)?;
+        &refined
+    };
+    let mut outcome = match reuse {
+        Some(reuse) => solve_incremental(target, opts, reuse)?,
+        None => solve(target, opts)?,
+    };
     // Re-label: times are already in refined ticks; declare the scale.
     outcome.schedule.time_scale = speed;
     outcome.schedule.speed = speed;
@@ -470,7 +473,7 @@ mod tests {
     fn speed_one_is_plain_solve() {
         let inst = Instance::new([(0, 40, 7), (0, 12, 6)], 1, 10).unwrap();
         let plain = solve(&inst, &defaults()).unwrap();
-        let speeded = solve_with_speed(&inst, &defaults(), 1).unwrap();
+        let speeded = solve_with_speed(&inst, &defaults(), 1, None).unwrap();
         assert_eq!(
             plain.schedule.num_calibrations(),
             speeded.schedule.num_calibrations()
@@ -482,7 +485,7 @@ mod tests {
     fn speed_augmented_solve_validates_exactly() {
         let inst = Instance::new([(0, 40, 7), (5, 50, 6), (0, 12, 6), (20, 33, 8)], 1, 10).unwrap();
         for s in [2i64, 3] {
-            let out = solve_with_speed(&inst, &defaults(), s).unwrap();
+            let out = solve_with_speed(&inst, &defaults(), s, None).unwrap();
             assert_eq!(out.schedule.speed, s);
             assert_eq!(out.schedule.time_scale, s);
             validate(&inst, &out.schedule).unwrap();
@@ -505,7 +508,7 @@ mod tests {
             solve(&inst, &defaults()),
             Err(SchedError::Infeasible { .. })
         ));
-        let out = solve_with_speed(&inst, &defaults(), 2).unwrap();
+        let out = solve_with_speed(&inst, &defaults(), 2, None).unwrap();
         validate(&inst, &out.schedule).unwrap();
         assert_eq!(out.schedule.speed, 2);
     }
@@ -518,6 +521,30 @@ mod tests {
         let (l1, s1) = refined.partition_long_short();
         assert_eq!(l0.len(), l1.len());
         assert_eq!(s0.len(), s1.len());
+    }
+
+    #[test]
+    fn fresh_reuse_reproduces_the_stateless_schedule() {
+        use ise_workloads::{long_only, short_only, uniform, WorkloadParams};
+        let params = WorkloadParams {
+            jobs: 24,
+            machines: 2,
+            calib_len: 10,
+            horizon: 300,
+        };
+        for seed in 0..3u64 {
+            let mixed = uniform(&params, seed);
+            let long = long_only(&params, seed);
+            let short = short_only(&params, seed);
+            let (l, s) = mixed.partition_long_short();
+            assert!(!l.is_empty() && !s.is_empty(), "seed {seed}: mixed");
+            assert!(long.all_long() && short.all_short());
+            for inst in [&mixed, &long, &short] {
+                let cold = solve(inst, &defaults()).unwrap();
+                let reused = solve_incremental(inst, &defaults(), &mut SolveReuse::new()).unwrap();
+                assert_eq!(reused.schedule, cold.schedule, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -347,7 +347,7 @@ mod tests {
             10,
         )
         .unwrap();
-        let long = schedule_long_windows(&inst, &LongWindowOptions::default()).unwrap();
+        let long = schedule_long_windows(&inst, &LongWindowOptions::default(), None).unwrap();
         let src_cals = long.schedule.num_calibrations();
         let machines = long.schedule.machines_used().max(1);
         let out = trade_machines_for_speed(&inst, &long.schedule, machines).unwrap();

@@ -52,12 +52,12 @@ proptest! {
                 // All values fit after scaling: the scaled instance is
                 // well-formed and the solve stays total.
                 prop_assert_eq!(refined.len(), inst.len());
-                let _ = solve_with_speed(&inst, &SolverOptions::default(), speed);
+                let _ = solve_with_speed(&inst, &SolverOptions::default(), speed, None);
             }
             Err(SchedError::TimeOverflow { .. }) => {
                 // The driving entry point reports the same verdict.
                 prop_assert!(matches!(
-                    solve_with_speed(&inst, &SolverOptions::default(), speed),
+                    solve_with_speed(&inst, &SolverOptions::default(), speed, None),
                     Err(SchedError::TimeOverflow { .. })
                 ));
             }

@@ -74,9 +74,9 @@ proptest! {
         }
         let tise = build(&jobs, instance.calib_len(), 3 * instance.machines());
 
-        let lu = solve_lp(&tise, &SolveOptions::default());
+        let lu = solve_lp(&tise, &SolveOptions::default(), None);
         for oracle_kind in [Factorization::Eta, Factorization::Dense] {
-            let oracle = solve_lp(&tise, &kernel_opts(oracle_kind));
+            let oracle = solve_lp(&tise, &kernel_opts(oracle_kind), None);
             match (&lu, &oracle) {
                 (Ok(s), Ok(d)) => {
                     let scale = 1.0 + s.objective.abs();
@@ -123,13 +123,13 @@ proptest! {
         let budget = 3 * instance.machines();
         for kind in [Factorization::Lu, Factorization::Eta, Factorization::Dense] {
             let opts = kernel_opts(kind);
-            let Ok(cold_a) = solve_lp(&build(&jobs, instance.calib_len(), budget), &opts) else {
+            let Ok(cold_a) = solve_lp(&build(&jobs, instance.calib_len(), budget), &opts, None) else {
                 return Ok(());
             };
             let basis = cold_a.basis.expect("optimal solve carries a basis");
             let perturbed = build(&jobs, instance.calib_len(), budget + 1);
-            let cold_b = solve_lp(&perturbed, &opts).expect("feasible at larger budget");
-            let warm_b = ise_sched::lp::solve_lp_warm(&perturbed, &opts, Some(&basis))
+            let cold_b = solve_lp(&perturbed, &opts, None).expect("feasible at larger budget");
+            let warm_b = solve_lp(&perturbed, &opts, Some(&basis))
                 .expect("feasible at larger budget");
             let scale = 1.0 + cold_b.objective.abs();
             prop_assert!(
@@ -158,14 +158,14 @@ proptest! {
             workspace: Some(ws.clone()),
             ..SolveOptions::default()
         };
-        let Ok(cold) = solve_lp(&build(&jobs, instance.calib_len(), budget), &opts) else {
+        let Ok(cold) = solve_lp(&build(&jobs, instance.calib_len(), budget), &opts, None) else {
             return Ok(());
         };
         let basis = cold.basis.expect("optimal solve carries a basis");
         let pass = |ws_events_before: u64| {
             for bump in [0usize, 1, 2, 1, 0] {
                 let lp = build(&jobs, instance.calib_len(), budget + bump);
-                let _ = ise_sched::lp::solve_lp_warm(&lp, &opts, Some(&basis));
+                let _ = solve_lp(&lp, &opts, Some(&basis));
             }
             ws.alloc_events() - ws_events_before
         };
@@ -192,8 +192,8 @@ proptest! {
         }
         let tise = build(&jobs, instance.calib_len(), 3 * instance.machines());
 
-        let devex = solve_lp(&tise, &SolveOptions::default());
-        let dantzig = solve_lp(&tise, &dantzig_opts());
+        let devex = solve_lp(&tise, &SolveOptions::default(), None);
+        let dantzig = solve_lp(&tise, &dantzig_opts(), None);
         match (devex, dantzig) {
             (Ok(s), Ok(d)) => {
                 let scale = 1.0 + s.objective.abs();
@@ -232,15 +232,15 @@ proptest! {
             return Ok(());
         }
         let budget = 3 * instance.machines();
-        let Ok(cold) = solve_lp(&build(&jobs, instance.calib_len(), budget), &SolveOptions::default())
+        let Ok(cold) = solve_lp(&build(&jobs, instance.calib_len(), budget), &SolveOptions::default(), None)
         else {
             return Ok(());
         };
         let basis = cold.basis.expect("optimal solve carries a basis");
         let perturbed = build(&jobs, instance.calib_len(), budget + 1);
-        let warm_devex = ise_sched::lp::solve_lp_warm(&perturbed, &SolveOptions::default(), Some(&basis))
+        let warm_devex = solve_lp(&perturbed, &SolveOptions::default(), Some(&basis))
             .expect("feasible at larger budget");
-        let warm_dantzig = ise_sched::lp::solve_lp_warm(&perturbed, &dantzig_opts(), Some(&basis))
+        let warm_dantzig = solve_lp(&perturbed, &dantzig_opts(), Some(&basis))
             .expect("feasible at larger budget");
         let scale = 1.0 + warm_devex.objective.abs();
         prop_assert!(

@@ -14,7 +14,7 @@ use crate::queue::{BoundedQueue, PushError};
 use ise_model::{Instance, Schedule};
 use ise_obs::PhaseTimings;
 use ise_sched::cancel::CancelToken;
-use ise_sched::{solve_with_speed, LpTelemetry, MmBackend, SchedError, SolverOptions};
+use ise_sched::{solve_with_speed, LpTelemetry, MmBackend, SchedError, SolveReuse, SolverOptions};
 use ise_session::{DeltaMsg, Session, SessionError, SessionTelemetry, Verdict};
 use ise_simplex::Basis;
 use serde::{Deserialize, Serialize};
@@ -756,18 +756,21 @@ fn handle_request(
         Some(b) => CancelToken::with_timeout(b),
         None => CancelToken::new(),
     };
-    let mut opts = SolverOptions {
+    let opts = SolverOptions {
         mm,
         trim_empty_calibrations: trim,
         cancel: cancel.clone(),
         ..SolverOptions::default()
     };
-    opts.long.warm_basis = warm_basis.map(|b| (*b).clone());
-    opts.long.lp.workspace = Some(workspace.clone());
+    let mut reuse = SolveReuse {
+        warm_basis: warm_basis.map(|b| (*b).clone()),
+        workspace: workspace.clone(),
+        ..SolveReuse::new()
+    };
 
     let started = Instant::now();
     let solve_span = ise_obs::Span::enter("engine.solve");
-    let result = solve_with_speed(instance, &opts, speed);
+    let result = solve_with_speed(instance, &opts, speed, Some(&mut reuse));
     drop(solve_span);
     // The token is polled at phase boundaries, so a solve can also finish
     // *after* its deadline; treat that as a timeout too for predictable

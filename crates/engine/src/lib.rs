@@ -21,10 +21,10 @@
 //! * [`engine`] — the worker pool tying the above together, plus the
 //!   incremental-session registry (`open`/`delta`/`solve`/`close`
 //!   commands over [`ise_session::Session`]).
-//! * [`serve`] — JSONL request/response streaming.
+//! * [`serve`](mod@serve) — JSONL request/response streaming.
 //! * [`net`] — the `--listen` TCP frontend: acceptor + per-connection
-//!   threads running the [`serve`] loop with connection-scoped sessions,
-//!   load shedding, idle timeouts, and graceful drain shutdown.
+//!   threads running the [`serve`](fn@serve) loop with connection-scoped
+//!   sessions, load shedding, idle timeouts, and graceful drain shutdown.
 
 pub mod cache;
 pub mod engine;

@@ -1,8 +1,8 @@
 //! TCP frontend for the JSONL serve protocol: `ise serve --listen`.
 //!
 //! Std-only threading, no async runtime: one nonblocking acceptor thread
-//! plus one thread per connection, each running the same
-//! [`serve_lines`](crate::serve) loop as the stdin/file path. Every
+//! plus one thread per connection, each running the same `serve_lines`
+//! loop as the stdin/file [`serve`](fn@crate::serve) path. Every
 //! connection gets its own session scope — sessions opened over a
 //! connection are pinned to it (commands from another connection get an
 //! inline error) and are force-closed when the connection ends, however

@@ -13,15 +13,14 @@
 //! | [`ReuseTier::Cold`]  | any structural delta ([`Delta::SetCalibrationLen`], [`Delta::ShiftWindows`]) | nothing — the basis and the per-interval memo are invalidated |
 //!
 //! Every commit reports what happened in a [`SessionTelemetry`] (tier,
-//! invalidated-interval count, LP iterations and an estimate of the
-//! iterations saved against a cold solve). Correctness is anchored by the
-//! `session` oracle in `ise::conform`: each incremental commit must match
-//! a from-scratch solve of the materialized instance on verdict,
-//! calibration count, and LP objective, with the schedule fully
-//! validated. Cold commits reproduce the from-scratch schedule
-//! bit-for-bit; warm-started tiers may stop at a different optimal LP
-//! vertex, which permutes calibration placement without changing the
-//! count.
+//! invalidated-interval count, measured LP iterations, warm-start flag).
+//! Correctness is anchored by the `session` oracle in `ise::conform`:
+//! each incremental commit must match a from-scratch solve of the
+//! materialized instance on verdict, calibration count, and LP objective,
+//! with the schedule fully validated. Cold commits reproduce the
+//! from-scratch schedule bit-for-bit; warm-started tiers may stop at a
+//! different optimal LP vertex, which permutes calibration placement
+//! without changing the count.
 //!
 //! A commit is transactional: delta validation happens at [`Session::apply`]
 //! time (an invalid delta is rejected with the session unchanged), and a
@@ -281,10 +280,6 @@ pub struct SessionTelemetry {
     pub memo_hits: usize,
     /// Simplex iterations actually spent by the long-window LP.
     pub lp_iterations: usize,
-    /// Iterations saved against a cold-solve estimate
-    /// ([`ise_sched::lp::cold_iteration_estimate`]); zero when the LP did
-    /// not warm-start.
-    pub lp_iterations_saved: usize,
     /// Whether the LP accepted the warm-start basis (phase 1 skipped).
     pub warm_started: bool,
     /// Wall-clock microseconds for the whole commit's solve.
@@ -460,10 +455,8 @@ impl Session {
                 // content-free, so recycling them is always sound and keeps
                 // even cold re-solves allocation-light.
                 let _span = ise_obs::Span::enter("session.invalidate");
-                let workspace = std::mem::take(&mut self.reuse).workspace;
-                self.reuse = SolveReuse::new();
                 SolveReuse {
-                    workspace,
+                    workspace: std::mem::take(&mut self.reuse).workspace,
                     ..SolveReuse::new()
                 }
             }
@@ -495,24 +488,18 @@ impl Session {
             }
         };
 
-        let (verdict, lp_iterations, warm_started, lp_iterations_saved) = match result {
+        let (verdict, lp_iterations, warm_started) = match result {
             Ok(outcome) => {
-                let (iters, warm, saved) = outcome.long.as_ref().map_or((0, false, 0), |l| {
-                    let f = &l.fractional;
-                    let saved = if f.warm_used {
-                        ise_sched::lp::cold_iteration_estimate(f).saturating_sub(f.iterations)
-                    } else {
-                        0
-                    };
-                    (f.iterations, f.warm_used, saved)
+                let (iters, warm) = outcome.long.as_ref().map_or((0, false), |l| {
+                    (l.fractional.iterations, l.fractional.warm_used)
                 });
                 let verdict = Verdict::Feasible {
                     report: Box::new(SolveReport::new(&self.pending, &outcome)),
                     schedule: outcome.schedule.clone(),
                 };
-                (verdict, iters, warm, saved)
+                (verdict, iters, warm)
             }
-            Err(SchedError::Infeasible { reason }) => (Verdict::Infeasible { reason }, 0, false, 0),
+            Err(SchedError::Infeasible { reason }) => (Verdict::Infeasible { reason }, 0, false),
             Err(other) => {
                 self.reuse = reuse;
                 return Err(SessionError::Solve(other));
@@ -528,7 +515,6 @@ impl Session {
             invalidated_intervals: reuse.memo.last_misses(),
             memo_hits: reuse.memo.last_hits(),
             lp_iterations,
-            lp_iterations_saved,
             warm_started,
             solve_us,
         };

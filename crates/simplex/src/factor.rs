@@ -17,7 +17,7 @@
 //!   hyper-sparse (Gilbert–Peierls) FTRAN/BTRAN that traverse only the
 //!   reach of the input support. Its outputs are **indexed sparse
 //!   vectors** ([`SpVec`]) whose tracked support lets the pivot loop skip
-//!   the dense `O(m)` scans entirely. See [`crate::lu`] for the kernel.
+//!   the dense `O(m)` scans entirely. See the `lu` module for the kernel.
 //! * [`EtaFile`] keeps the **product form of the inverse**:
 //!   `B⁻¹ = E_k ⋯ E_1` where each eta matrix `E_i` differs from the
 //!   identity in one column. A pivot appends one eta (`O(nnz(w))`), FTRAN

@@ -1,6 +1,6 @@
 //! Two-phase revised primal simplex.
 //!
-//! The basis is represented by a [`Factor`](crate::factor::Factor): by
+//! The basis is represented by a [`Factor`]: by
 //! default a sparse **LU factorization** with Markowitz-pivoting
 //! reinversion every [`SolveOptions::refactor_every`] pivots,
 //! Forrest–Tomlin updates in between, and hyper-sparse FTRAN/BTRAN whose

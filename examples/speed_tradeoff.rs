@@ -30,7 +30,7 @@ fn main() {
     println!("{} long-window jobs, 1 machine, T = 10", instance.len());
 
     // Stage 1: Theorem 12 — O(1) machines, speed 1.
-    let long = schedule_long_windows(&instance, &LongWindowOptions::default())
+    let long = schedule_long_windows(&instance, &LongWindowOptions::default(), None)
         .expect("long-window pipeline");
     validate_tise(&instance, &long.schedule).expect("TISE-feasible");
     let s1 = ScheduleStats::compute(&instance, &long.schedule);

@@ -263,7 +263,7 @@ fn cmd_solve(args: &[&String]) -> Result<(), String> {
         }
         solve_decomposed(&instance, &opts)
     } else {
-        solve_with_speed(&instance, &opts, speed)
+        solve_with_speed(&instance, &opts, speed, None)
     }
     .map_err(|e| e.to_string())?;
     let mut outcome = outcome;
@@ -817,7 +817,7 @@ fn run_serve<R: BufRead>(
 
 /// `ise session`: replay a JSONL delta script through an incremental
 /// [`ise::session::Session`], printing one telemetry line per commit
-/// (reuse tier, invalidated intervals, LP iterations and iterations saved)
+/// (reuse tier, invalidated intervals, measured LP iterations)
 /// and a reuse summary at the end. `--out FILE` additionally writes the
 /// per-commit telemetry as a JSON array. See [`ise::session::ScriptStep`]
 /// for the line format.
@@ -839,7 +839,6 @@ fn cmd_session(args: &[&String]) -> Result<(), String> {
     let mut telemetry: Vec<ise::session::SessionTelemetry> = Vec::new();
     let mut tiers = [0u64; 3];
     let mut total_iterations = 0usize;
-    let mut total_saved = 0usize;
     for (lineno, line) in data.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -864,14 +863,13 @@ fn cmd_session(args: &[&String]) -> Result<(), String> {
                 };
                 println!(
                     "commit {}: tier={} deltas={} jobs={} machines={} {verdict} \
-                     lp_iters={} saved={} memo_hits={} invalidated={} solve_us={}",
+                     lp_iters={} memo_hits={} invalidated={} solve_us={}",
                     t.commit,
                     t.tier,
                     t.deltas,
                     t.jobs,
                     t.machines,
                     t.lp_iterations,
-                    t.lp_iterations_saved,
                     t.memo_hits,
                     t.invalidated_intervals,
                     t.solve_us
@@ -882,7 +880,6 @@ fn cmd_session(args: &[&String]) -> Result<(), String> {
                     ise::session::ReuseTier::Cold => 2,
                 }] += 1;
                 total_iterations += t.lp_iterations;
-                total_saved += t.lp_iterations_saved;
                 telemetry.push(commit.telemetry);
             }
         }
@@ -891,13 +888,12 @@ fn cmd_session(args: &[&String]) -> Result<(), String> {
         return Err(format!("{path}: script performed no commits"));
     }
     eprintln!(
-        "{} commits: {} basis / {} warm / {} cold; {} LP iterations (~{} saved by reuse)",
+        "{} commits: {} basis / {} warm / {} cold; {} LP iterations",
         telemetry.len(),
         tiers[0],
         tiers[1],
         tiers[2],
-        total_iterations,
-        total_saved
+        total_iterations
     );
     if let Some(out) = flag_value(args, "--out")? {
         write_json(&telemetry, Some(out))?;
@@ -926,7 +922,7 @@ fn cmd_trace(args: &[&String]) -> Result<(), String> {
     let trace = ise::obs::Trace::new(8192);
     let outcome = {
         let _guard = trace.install();
-        solve_with_speed(&instance, &opts, speed)
+        solve_with_speed(&instance, &opts, speed, None)
     }
     .map_err(|e| e.to_string())?;
 

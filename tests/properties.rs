@@ -57,7 +57,7 @@ proptest! {
     /// valid with exactly 3x the calibrations.
     #[test]
     fn long_pipeline_and_lemma2(instance in arb_instance(8, 1, true)) {
-        let out = match schedule_long_windows(&instance, &LongWindowOptions::default()) {
+        let out = match schedule_long_windows(&instance, &LongWindowOptions::default(), None) {
             Ok(out) => out,
             Err(ise::sched::SchedError::Infeasible { .. }) => return Ok(()),
             Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
@@ -77,7 +77,7 @@ proptest! {
         instance in arb_instance(8, 1, true),
         c in 1usize..5,
     ) {
-        let out = match schedule_long_windows(&instance, &LongWindowOptions::default()) {
+        let out = match schedule_long_windows(&instance, &LongWindowOptions::default(), None) {
             Ok(out) => out,
             Err(_) => return Ok(()),
         };

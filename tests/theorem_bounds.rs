@@ -6,7 +6,7 @@ use ise::mm::ExactMm;
 use ise::model::{validate, validate_tise, Instance};
 use ise::sched::exact::{optimal, ExactOptions};
 use ise::sched::long_window::{schedule_long_windows, LongWindowOptions};
-use ise::sched::short_window::{schedule_short_windows, GAMMA};
+use ise::sched::short_window::{schedule_short_windows_with, CrossingPolicy, GAMMA};
 use ise::sched::speed_transform::trade_machines_for_speed;
 use ise::sched::{solve, SolverOptions};
 use ise::workloads::{long_only, short_only, uniform, WorkloadParams};
@@ -23,7 +23,7 @@ fn theorem12_budgets_hold_across_seeds() {
             horizon: 80,
         };
         let instance = long_only(&params, seed);
-        let out = schedule_long_windows(&instance, &LongWindowOptions::default())
+        let out = schedule_long_windows(&instance, &LongWindowOptions::default(), None)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         validate_tise(&instance, &out.schedule).expect("TISE-valid");
         assert!(
@@ -52,7 +52,8 @@ fn theorem14_speed_trade_across_seeds() {
             horizon: 60,
         };
         let instance = long_only(&params, seed);
-        let long = schedule_long_windows(&instance, &LongWindowOptions::default()).expect("t12");
+        let long =
+            schedule_long_windows(&instance, &LongWindowOptions::default(), None).expect("t12");
         let c = long.schedule.machines_used().max(1);
         let fast = trade_machines_for_speed(&instance, &long.schedule, c).expect("t14");
         validate(&instance, &fast.schedule).expect("valid at speed 2c");
@@ -74,8 +75,12 @@ fn theorem20_budgets_hold_across_seeds() {
             horizon: 150,
         };
         let instance = short_only(&params, seed);
-        let out = schedule_short_windows(&instance, &ExactMm::default())
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let out = schedule_short_windows_with(
+            &instance,
+            &ExactMm::default(),
+            CrossingPolicy::ExtraMachines,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         validate(&instance, &out.schedule).expect("valid");
         for rep in &out.intervals {
             assert!(
