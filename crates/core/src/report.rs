@@ -69,6 +69,12 @@ pub struct LpTelemetry {
     pub lu_sparse_solves: u64,
     /// FTRAN/BTRAN solves that fell back to the dense triangular kernels.
     pub lu_dense_solves: u64,
+    /// Full BTRANs of the basic costs; the pivot loop updates the
+    /// multipliers in between.
+    pub dual_refreshes: u64,
+    /// Worst measured drift of the updated multipliers from the fresh
+    /// BTRAN that replaced them, relative to `1 + ‖c_B‖∞`.
+    pub max_dual_drift: f64,
 }
 
 impl LpTelemetry {
@@ -100,6 +106,8 @@ impl LpTelemetry {
             lu_ft_updates: l.fractional.numerics.lu_ft_updates,
             lu_sparse_solves: l.fractional.numerics.lu_sparse_solves,
             lu_dense_solves: l.fractional.numerics.lu_dense_solves,
+            dual_refreshes: l.fractional.numerics.dual_refreshes,
+            max_dual_drift: l.fractional.numerics.max_dual_drift,
         })
     }
 
@@ -223,8 +231,14 @@ impl fmt::Display for SolveReport {
             )?;
             writeln!(
                 f,
-                "LP basis: {} fill nnz, {} FT updates, {} sparse / {} dense triangular solves",
-                t.lu_fill_nnz, t.lu_ft_updates, t.lu_sparse_solves, t.lu_dense_solves
+                "LP basis: {} fill nnz, {} FT updates, {} sparse / {} dense triangular solves, \
+                 {} dual refreshes, max dual drift {:.2e}",
+                t.lu_fill_nnz,
+                t.lu_ft_updates,
+                t.lu_sparse_solves,
+                t.lu_dense_solves,
+                t.dual_refreshes,
+                t.max_dual_drift
             )?;
         }
         if self.short_jobs > 0 {

@@ -252,3 +252,44 @@ proptest! {
         prop_assert_eq!(warm_devex.warm_used, warm_dantzig.warm_used);
     }
 }
+
+/// A production-sized TISE LP (the `long_only` shape of 60 jobs on 4
+/// machines, `T = 12`, horizon 900) takes well over a thousand pivots.
+/// The pivot loop carries the simplex multipliers through those pivots by
+/// the per-pivot dual update and re-derives them by a full BTRAN only at
+/// phase starts, refactorizations and optimality checks: the refresh
+/// count stays near the refactorization count, the measured drift of the
+/// updated multipliers stays negligible, and the returned duals still
+/// certify the optimum.
+#[test]
+fn long_tise_solve_updates_duals_between_refreshes() {
+    let params = WorkloadParams {
+        jobs: 60,
+        machines: 4,
+        calib_len: 12,
+        horizon: 900,
+    };
+    let instance = long_only(&params, 7);
+    let jobs = instance.partition_long_short().0;
+    let tise = build(&jobs, instance.calib_len(), 3 * instance.machines());
+    let sol = solve_lp(&tise, &SolveOptions::default(), None).expect("feasible");
+    assert!(sol.iterations >= 1000, "only {} pivots", sol.iterations);
+    let n = sol.numerics;
+    // At most one refresh per refactorization plus two per phase (its
+    // start and the optimality check), over two phases.
+    assert!(
+        n.dual_refreshes <= sol.refactorizations as u64 + 2 * 2,
+        "{} refreshes for {} refactorizations",
+        n.dual_refreshes,
+        sol.refactorizations
+    );
+    assert!(
+        50 * n.dual_refreshes < sol.iterations as u64,
+        "{} refreshes over {} pivots",
+        n.dual_refreshes,
+        sol.iterations
+    );
+    assert!(n.max_dual_drift <= 1e-9, "dual drift {}", n.max_dual_drift);
+    let bound = sol.certified_dual_bound.expect("duals pass check_dual");
+    assert!((bound - sol.objective).abs() <= 1e-6 * (1.0 + sol.objective.abs()));
+}

@@ -850,8 +850,9 @@ fn handle_request(
 
 /// Fold one solve's LP numerics into the engine counters: one residual
 /// histogram sample per monitored solve, per-rung recovery counts, and
-/// the LU basis-kernel counters (fill-in is tracked as a worst-seen
-/// gauge; updates and triangular-solve paths accumulate).
+/// the LU basis-kernel and dual-update counters (fill-in and dual drift
+/// are tracked as worst-seen gauges; updates, triangular-solve paths and
+/// dual refreshes accumulate).
 fn record_lp_numerics(metrics: &EngineMetrics, t: &LpTelemetry) {
     use std::sync::atomic::Ordering;
     if t.residual_checks > 0 {
@@ -866,6 +867,7 @@ fn record_lp_numerics(metrics: &EngineMetrics, t: &LpTelemetry) {
         (&metrics.lp_lu_ft_updates, t.lu_ft_updates),
         (&metrics.lp_lu_sparse_solves, t.lu_sparse_solves),
         (&metrics.lp_lu_dense_solves, t.lu_dense_solves),
+        (&metrics.lp_dual_refreshes, t.dual_refreshes),
     ] {
         if n > 0 {
             counter.fetch_add(n, Ordering::Relaxed);
@@ -874,6 +876,9 @@ fn record_lp_numerics(metrics: &EngineMetrics, t: &LpTelemetry) {
     metrics
         .lp_lu_fill_nnz
         .fetch_max(t.lu_fill_nnz, Ordering::Relaxed);
+    metrics
+        .lp_max_dual_drift_bits
+        .fetch_max(t.max_dual_drift.to_bits(), Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -219,6 +219,12 @@ pub struct EngineMetrics {
     pub lp_lu_sparse_solves: AtomicU64,
     /// FTRAN/BTRAN solves that fell back to the dense triangular kernels.
     pub lp_lu_dense_solves: AtomicU64,
+    /// Full BTRANs of the basic costs (dual refreshes) across solves.
+    pub lp_dual_refreshes: AtomicU64,
+    /// Worst measured dual drift across solves, as `f64::to_bits`: for
+    /// non-negative floats the bit patterns order like the values, so
+    /// `fetch_max` on the bits keeps the largest drift.
+    pub lp_max_dual_drift_bits: AtomicU64,
     /// Worst relative LP residual per solve, for solves where the residual
     /// monitor ran.
     pub lp_residual: ResidualHistogram,
@@ -261,6 +267,8 @@ impl EngineMetrics {
             lp_lu_ft_updates: self.lp_lu_ft_updates.load(Ordering::Relaxed),
             lp_lu_sparse_solves: self.lp_lu_sparse_solves.load(Ordering::Relaxed),
             lp_lu_dense_solves: self.lp_lu_dense_solves.load(Ordering::Relaxed),
+            lp_dual_refreshes: self.lp_dual_refreshes.load(Ordering::Relaxed),
+            lp_max_dual_drift: f64::from_bits(self.lp_max_dual_drift_bits.load(Ordering::Relaxed)),
             lp_residual: self.lp_residual.snapshot(),
             cache_evictions: 0,
             basis_cache_entries: 0,
@@ -319,6 +327,10 @@ pub struct MetricsSnapshot {
     pub lp_lu_sparse_solves: u64,
     /// FTRAN/BTRAN solves on the dense triangular fallback.
     pub lp_lu_dense_solves: u64,
+    /// Full BTRANs of the basic costs (dual refreshes) across solves.
+    pub lp_dual_refreshes: u64,
+    /// Worst measured dual drift seen across solves.
+    pub lp_max_dual_drift: f64,
     /// Per-solve worst relative LP residual histogram.
     pub lp_residual: ResidualHistogramSnapshot,
     /// Result- and basis-cache entries evicted by LRU capacity pressure
@@ -517,6 +529,22 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
             "ise_lp_lu_triangular_solves_total{{path=\"{path}\"}} {value}\n"
         ));
     }
+    out.push_str(
+        "# HELP ise_lp_dual_refreshes_total Full BTRANs of the basic costs (dual refreshes)\n\
+         # TYPE ise_lp_dual_refreshes_total counter\n",
+    );
+    out.push_str(&format!(
+        "ise_lp_dual_refreshes_total {}\n",
+        snap.lp_dual_refreshes
+    ));
+    out.push_str(
+        "# HELP ise_lp_max_dual_drift Worst drift of updated LP multipliers from a fresh BTRAN\n\
+         # TYPE ise_lp_max_dual_drift gauge\n",
+    );
+    out.push_str(&format!(
+        "ise_lp_max_dual_drift {:e}\n",
+        snap.lp_max_dual_drift
+    ));
     out.push_str(
         "# HELP ise_lp_residual Worst relative LP residual per solve\n\
          # TYPE ise_lp_residual histogram\n",
@@ -848,6 +876,11 @@ mod tests {
         m.lp_lu_ft_updates.fetch_add(7, Ordering::Relaxed);
         m.lp_lu_sparse_solves.fetch_add(9, Ordering::Relaxed);
         m.lp_lu_dense_solves.fetch_add(2, Ordering::Relaxed);
+        m.lp_dual_refreshes.fetch_add(5, Ordering::Relaxed);
+        for drift in [3e-14f64, 2e-12, 1e-13] {
+            m.lp_max_dual_drift_bits
+                .fetch_max(drift.to_bits(), Ordering::Relaxed);
+        }
         let snap = m.snapshot();
         assert_eq!(snap.lp_residual.count, 4);
         assert!(snap.lp_residual.sum >= 0.5);
@@ -874,6 +907,8 @@ mod tests {
             text.contains("ise_lp_lu_triangular_solves_total{path=\"dense\"} 2"),
             "{text}"
         );
+        assert!(text.contains("ise_lp_dual_refreshes_total 5"), "{text}");
+        assert!(text.contains("ise_lp_max_dual_drift 2e-12"), "{text}");
         assert!(
             text.contains("ise_lp_residual_bucket{le=\"+Inf\"} 4"),
             "{text}"

@@ -21,6 +21,12 @@
 //! * cooperative interruption ([`Interrupt`]/[`InterruptHandle`]) polled
 //!   inside the pivot loop, so deadlines can abort a long solve
 //!   mid-iteration,
+//! * **per-pivot dual updates**: the simplex multipliers move by
+//!   `y ← y + (d_q / α_rq) ρ_r` with the pivot row `ρ_r = e_rᵀ B⁻¹` the
+//!   devex update already needs; a full BTRAN of the basic costs runs
+//!   only at phase start, after each refactorization, and before
+//!   optimality is declared (only a fresh `y` certifies it), with the
+//!   measured drift reported in [`NumericsReport::max_dual_drift`],
 //! * **devex partial pricing** ([`Pricing::Devex`], the default): reference
 //!   weights plus a rotating candidate window, falling back to a full
 //!   rescan only when the window yields nothing — with the original full

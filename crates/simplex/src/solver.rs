@@ -22,6 +22,18 @@
 //! degenerate-pivot streak and the devex weights reset on refactorization
 //! and at phase transitions.
 //!
+//! The simplex multipliers `y = c_Bᵀ B⁻¹` are **updated per pivot**, not
+//! recomputed: with the pivot row `ρ_r = e_rᵀ B⁻¹` of the old basis (a
+//! hyper-sparse partial BTRAN under LU, shared with the devex update),
+//! entering column `q` and pivot element `α_rq`, the new multipliers are
+//! `y + (d_q / α_rq) ρ_r`. A full BTRAN of `c_B` runs only at phase start,
+//! after every refactorization (scheduled, refused Forrest–Tomlin update,
+//! tiny pivot, residual recovery), and when pricing finds no improving
+//! column under updated multipliers — then `y` is refreshed and priced
+//! again, so only a fresh `y` certifies optimality. Each refresh measures
+//! how far the updated vector had drifted
+//! ([`NumericsReport::max_dual_drift`]).
+//!
 //! All per-iteration scratch (multipliers, pivot direction, candidate
 //! list, devex weights, factorization staging) lives in a [`Workspace`]
 //! that survives iterations, phases, refactorizations, and — through
@@ -252,6 +264,14 @@ pub struct NumericsReport {
     pub lu_sparse_solves: u64,
     /// FTRAN/BTRAN calls that fell back to a dense pass.
     pub lu_dense_solves: u64,
+    /// Full BTRANs of the basic costs (`y = c_Bᵀ B⁻¹`). Between them the
+    /// pivot loop carries the multipliers forward by the dual update, so
+    /// this counts phase starts, refactorizations, and optimality checks.
+    pub dual_refreshes: u64,
+    /// Largest drift `‖y_updated − y_fresh‖∞ / (1 + ‖c_B‖∞)` measured at
+    /// a refresh: how far the updated multipliers had strayed from the
+    /// BTRAN that replaced them.
+    pub max_dual_drift: f64,
 }
 
 impl NumericsReport {
@@ -284,6 +304,8 @@ impl NumericsReport {
         self.lu_ft_updates += attempt.lu_ft_updates;
         self.lu_sparse_solves += attempt.lu_sparse_solves;
         self.lu_dense_solves += attempt.lu_dense_solves;
+        self.dual_refreshes += attempt.dual_refreshes;
+        self.max_dual_drift = self.max_dual_drift.max(attempt.max_dual_drift);
     }
 }
 
@@ -330,14 +352,18 @@ pub struct Workspace {
     /// Basic-cost vector (BTRAN input).
     cb: Vec<f64>,
     /// Simplex multipliers (BTRAN output; sparse-mode under the LU kernel
-    /// when the basic costs are sparse).
+    /// when the basic costs are sparse), carried forward between BTRANs
+    /// by the per-pivot dual update.
     y: SpVec,
+    /// Copy of the updated multipliers taken just before a refresh
+    /// overwrites them, for the drift measurement.
+    y_prev: Vec<f64>,
     /// Pivot direction (FTRAN output) with tracked nonzero support, so the
     /// ratio test, the basic-value update, and the eta/FT append walk only
     /// actual nonzeros instead of the full row range.
     w: SpVec,
-    /// Row of `B⁻¹` for devex updates and driving out artificials
-    /// (partial-BTRAN output under the LU kernel).
+    /// Pivot row `ρ_r = e_rᵀ B⁻¹` for the dual and devex updates and for
+    /// driving out artificials (partial-BTRAN output under the LU kernel).
     rho: SpVec,
     /// `B·x_B` accumulator for the residual monitor.
     resid: Vec<f64>,
@@ -630,6 +656,50 @@ struct Tableau {
     /// Set when a residual failure could not be repaired in-loop; tells
     /// the driver in [`solve_warm_ws`] to climb to the next rung.
     unstable: bool,
+    /// `refactorizations` at the last full BTRAN of `ws.y`, or `None`
+    /// when `ws.y` does not hold this phase's multipliers. A mismatch
+    /// means the factor was rebuilt since, and `y` is refreshed before
+    /// the next pricing pass.
+    duals_at: Option<usize>,
+    /// Whether `ws.y` is exactly the last BTRAN result, with no dual
+    /// updates applied since. Only fresh multipliers certify optimality.
+    duals_fresh: bool,
+}
+
+/// Pivot-loop time per layer, accumulated over one phase and recorded as
+/// one span each when the phase ends, so the loop itself records nothing.
+#[derive(Default)]
+struct LoopTimes {
+    /// Refreshes of `y = c_Bᵀ B⁻¹` plus the per-pivot row `ρ_r`.
+    btran: Duration,
+    pricing: Duration,
+    /// The pivot direction `w = B⁻¹ A_q`.
+    ftran: Duration,
+    ratio_test: Duration,
+    dual_update: Duration,
+}
+
+impl LoopTimes {
+    fn record(&self) {
+        for (name, dur) in [
+            ("simplex.btran", self.btran),
+            ("simplex.pricing", self.pricing),
+            ("simplex.ftran", self.ftran),
+            ("simplex.ratio_test", self.ratio_test),
+            ("simplex.dual_update", self.dual_update),
+        ] {
+            ise_obs::Span::record(name, dur);
+        }
+    }
+}
+
+/// Time `f`, adding its wall time to `acc`.
+#[inline]
+fn timed<T>(acc: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *acc += start.elapsed();
+    out
 }
 
 impl Tableau {
@@ -733,6 +803,8 @@ impl Tableau {
             escalation: 0,
             unstable: false,
             lu_update_time: Duration::ZERO,
+            duals_at: None,
+            duals_fresh: false,
         }
     }
 
@@ -941,11 +1013,13 @@ impl Tableau {
         // Phase transition: pricing state from the previous phase is
         // meaningless against the new objective — reset the degenerate
         // streak, the Bland switch, the window cursor, and the devex
-        // reference weights together.
+        // reference weights together. The multipliers belong to the old
+        // cost vector, so the first iteration recomputes them.
         self.reset_pricing_state();
-        let mut pricing_time = Duration::ZERO;
-        let result = self.optimize_inner(cost, phase1, &mut pricing_time);
-        ise_obs::Span::record("simplex.pricing", pricing_time);
+        self.duals_at = None;
+        let mut times = LoopTimes::default();
+        let result = self.optimize_inner(cost, phase1, &mut times);
+        times.record();
         result
     }
 
@@ -953,7 +1027,7 @@ impl Tableau {
         &mut self,
         cost: &[f64],
         phase1: bool,
-        pricing_time: &mut Duration,
+        times: &mut LoopTimes,
     ) -> Result<SolveStatus, SolverError> {
         let limit = self.iter_limit();
         loop {
@@ -974,35 +1048,35 @@ impl Tableau {
                 self.residual_guard()?;
             }
 
-            // Simplex multipliers y = c_Bᵀ B⁻¹ via BTRAN.
-            ensure_filled(&mut self.ws.cb, self.m, 0.0, &mut self.ws.alloc_events);
-            for (i, &bv) in self.basis.iter().enumerate() {
-                self.ws.cb[i] = cost[bv];
+            // Simplex multipliers y = c_Bᵀ B⁻¹: carried forward by the dual
+            // update on every pivot, recomputed by a full BTRAN only at
+            // phase start and after each refactorization.
+            if self.duals_at != Some(self.refactorizations) {
+                timed(&mut times.btran, || self.refresh_duals(cost));
             }
-            self.factor.btran_into(
-                self.m,
-                &self.ws.cb,
-                &mut self.ws.y,
-                &mut self.ws.alloc_events,
-            );
 
-            // Pricing.
-            let pricing_start = Instant::now();
-            let entering = self.price(cost, phase1);
-            *pricing_time += pricing_start.elapsed();
+            let mut entering = timed(&mut times.pricing, || self.price(cost, phase1));
+            if entering.is_none() && !self.duals_fresh {
+                // Updated multipliers carry rounding drift: re-derive them
+                // and price again, so only a fresh y certifies optimality.
+                timed(&mut times.btran, || self.refresh_duals(cost));
+                entering = timed(&mut times.pricing, || self.price(cost, phase1));
+            }
             let Some(entering) = entering else {
                 return Ok(SolveStatus::Optimal);
             };
 
             // Direction w = B⁻¹ A_j via FTRAN.
-            self.factor.ftran_col_into(
-                self.m,
-                &self.cols[entering],
-                &mut self.ws.w,
-                &mut self.ws.alloc_events,
-            );
+            timed(&mut times.ftran, || {
+                self.factor.ftran_col_into(
+                    self.m,
+                    &self.cols[entering],
+                    &mut self.ws.w,
+                    &mut self.ws.alloc_events,
+                )
+            });
 
-            let (leaving, theta) = self.select_leaving();
+            let (leaving, theta) = timed(&mut times.ratio_test, || self.select_leaving());
             if leaving == usize::MAX {
                 if phase1 {
                     // Phase 1 is bounded below by 0; an unbounded ray means
@@ -1028,11 +1102,83 @@ impl Tableau {
                 self.bland = false;
             }
 
+            // The pivot row ρ_r = e_rᵀ B⁻¹ of the basis being left, shared
+            // by the devex weights and the dual update. The ratio test only
+            // picks rows with |w_r| > pivot_tol, so pivot() accepts it.
+            timed(&mut times.btran, || {
+                self.factor.row_of_inverse_into(
+                    self.m,
+                    leaving,
+                    &mut self.ws.rho,
+                    &mut self.ws.alloc_events,
+                )
+            });
             if !self.bland && self.opts.pricing == Pricing::Devex {
                 self.update_devex_weights(entering, leaving);
             }
+            timed(&mut times.dual_update, || {
+                self.update_duals(entering, leaving, cost)
+            });
             self.pivot(entering, leaving, theta)?;
         }
+    }
+
+    /// Recompute `y = c_Bᵀ B⁻¹` by a full BTRAN. When `ws.y` held updated
+    /// multipliers of this phase, first measure how far they had drifted
+    /// from the fresh ones (`NumericsReport::max_dual_drift`).
+    fn refresh_duals(&mut self, cost: &[f64]) {
+        let ws = &mut self.ws;
+        ensure_filled(&mut ws.cb, self.m, 0.0, &mut ws.alloc_events);
+        let mut cb_max = 0.0f64;
+        for (i, &bv) in self.basis.iter().enumerate() {
+            ws.cb[i] = cost[bv];
+            cb_max = cb_max.max(cost[bv].abs());
+        }
+        let measure = self.duals_at.is_some();
+        if measure {
+            let cap = ws.y_prev.capacity();
+            ws.y_prev.clear();
+            ws.y_prev.extend_from_slice(ws.y.vals());
+            if ws.y_prev.capacity() != cap {
+                ws.alloc_events += 1;
+            }
+        }
+        self.factor
+            .btran_into(self.m, &ws.cb, &mut ws.y, &mut ws.alloc_events);
+        if measure {
+            let drift = ws
+                .y_prev
+                .iter()
+                .zip(ws.y.vals())
+                .fold(0.0f64, |acc, (a, b)| acc.max((a - b).abs()));
+            let drift = drift / (1.0 + cb_max);
+            self.numerics.max_dual_drift = self.numerics.max_dual_drift.max(drift);
+        }
+        self.numerics.dual_refreshes += 1;
+        self.duals_at = Some(self.refactorizations);
+        self.duals_fresh = true;
+    }
+
+    /// Dual update for the pivot `entering` ↔ basis row `leaving_row`,
+    /// with `ρ_r` of the old basis in `ws.rho`:
+    /// `y ← y + (d_q / α_rq) ρ_r`. Afterwards `yᵀA_q = c_q`, and
+    /// `yᵀA_i = c_i` still holds for every basic column that stays,
+    /// because `ρ_r · A_i = 0` for those — so `y` is the multiplier
+    /// vector of the new basis without a BTRAN of `c_B`.
+    fn update_duals(&mut self, entering: usize, leaving_row: usize, cost: &[f64]) {
+        let step = self.reduced_cost(entering, cost) / self.ws.w.vals()[leaving_row];
+        let ws = &mut self.ws;
+        let before = ws.y.footprint();
+        for i in ws.rho.support() {
+            let r = ws.rho.vals()[i];
+            if r != 0.0 {
+                ws.y.add(i, step * r);
+            }
+        }
+        if ws.y.footprint() > before {
+            ws.alloc_events += 1;
+        }
+        self.duals_fresh = false;
     }
 
     /// Strict minimum-ratio contribution of row `i` for the direction in
@@ -1375,26 +1521,15 @@ impl Tableau {
     }
 
     /// Devex reference-weight update for the pivot `entering` ↔ basis row
-    /// `leaving_row` (Forrest–Goldfarb): with `ρ = e_rᵀ B⁻¹`,
-    /// `α_j = ρ · A_j`, and `α_q` the pivot element,
+    /// `leaving_row` (Forrest–Goldfarb): with `ρ = e_rᵀ B⁻¹` already in
+    /// `ws.rho`, `α_j = ρ · A_j`, and `α_q` the pivot element,
     /// `γ_j ← max(γ_j, (α_j/α_q)² γ_q)` for the priced candidates, and the
     /// leaving variable inherits `γ_t ← max(γ_q/α_q², 1)`. Only the
     /// columns actually priced this iteration are updated — the classic
     /// partial-pricing compromise.
     fn update_devex_weights(&mut self, entering: usize, leaving_row: usize) {
         let alpha_q = self.ws.w.vals()[leaving_row];
-        if alpha_q.abs() <= self.opts.pivot_tol {
-            // pivot() will refactorize instead of pivoting; the weights
-            // reset there.
-            return;
-        }
         let gamma_q = self.ws.weights[entering].max(1.0);
-        self.factor.row_of_inverse_into(
-            self.m,
-            leaving_row,
-            &mut self.ws.rho,
-            &mut self.ws.alloc_events,
-        );
         for &(j, _) in &self.ws.candidates {
             if j == entering {
                 continue;
@@ -1662,6 +1797,40 @@ mod tests {
         });
     }
 
+    /// Beale's cycling example (with Dantzig pricing it cycles without
+    /// anti-cycling safeguards); optimum −0.05.
+    fn beale_lp() -> LinearProgram {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(-0.75);
+        let y = lp.add_var(150.0);
+        let z = lp.add_var(-0.02);
+        let w = lp.add_var(6.0);
+        lp.add_row([(x, 0.25), (y, -60.0), (z, -0.04), (w, 9.0)], Cmp::Le, 0.0);
+        lp.add_row([(x, 0.5), (y, -90.0), (z, -0.02), (w, 3.0)], Cmp::Le, 0.0);
+        lp.add_row([(z, 1.0)], Cmp::Le, 1.0);
+        lp
+    }
+
+    /// The per-pivot dual update's contract on one optimal solve: a full
+    /// BTRAN of `c_B` runs at most once per refactorization plus twice
+    /// per phase (its start and the optimality check), the updated
+    /// multipliers never stray measurably from the fresh ones, and the
+    /// returned duals certify the optimum.
+    fn assert_dual_update_contract(lp: &LinearProgram, sol: &Solution) {
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        let n = &sol.numerics;
+        assert!(
+            n.dual_refreshes <= sol.refactorizations as u64 + 2 * 2,
+            "{} refreshes for {} refactorizations",
+            n.dual_refreshes,
+            sol.refactorizations
+        );
+        assert!(n.dual_refreshes >= 1, "phase start refreshes y");
+        assert!(n.max_dual_drift <= 1e-9, "dual drift {}", n.max_dual_drift);
+        let bound = crate::verify::check_dual(lp, &sol.duals, 1e-6).expect("dual feasible");
+        assert_close(bound, sol.objective, 1e-6 * (1.0 + sol.objective.abs()));
+    }
+
     #[test]
     fn degenerate_lp_terminates() {
         // Classic degeneracy: many redundant constraints through the origin.
@@ -1670,19 +1839,11 @@ mod tests {
         // degenerate streak and devex weights reset on refactorization and
         // phase transitions; Bland clears only on a nonzero step).
         all_modes(|opts| {
-            let mut lp = LinearProgram::new();
-            let x = lp.add_var(-0.75);
-            let y = lp.add_var(150.0);
-            let z = lp.add_var(-0.02);
-            let w = lp.add_var(6.0);
-            // Beale's cycling example (with Dantzig pricing it cycles without
-            // anti-cycling safeguards).
-            lp.add_row([(x, 0.25), (y, -60.0), (z, -0.04), (w, 9.0)], Cmp::Le, 0.0);
-            lp.add_row([(x, 0.5), (y, -90.0), (z, -0.02), (w, 3.0)], Cmp::Le, 0.0);
-            lp.add_row([(z, 1.0)], Cmp::Le, 1.0);
+            let lp = beale_lp();
             let sol = solve(&lp, &opts).unwrap();
             assert_eq!(sol.status, SolveStatus::Optimal);
             assert_close(sol.objective, -0.05, 1e-6);
+            assert_dual_update_contract(&lp, &sol);
         });
     }
 
@@ -1722,7 +1883,7 @@ mod tests {
     fn transportation_style_lp() {
         // 2 suppliers (cap 10, 15) x 2 consumers (demand 8, 12), costs:
         //   c11=1 c12=4 c21=2 c22=1. Optimal: x11=8, x22=12, cost 20.
-        both_paths(|opts| {
+        all_modes(|opts| {
             let mut lp = LinearProgram::new();
             let x11 = lp.add_var(1.0);
             let x12 = lp.add_var(4.0);
@@ -1735,6 +1896,7 @@ mod tests {
             let sol = solve(&lp, &opts).unwrap();
             assert_eq!(sol.status, SolveStatus::Optimal);
             assert_close(sol.objective, 20.0, 1e-6);
+            assert_dual_update_contract(&lp, &sol);
         });
     }
 
@@ -1875,18 +2037,34 @@ mod tests {
                 refactor_every: 1,
                 ..SolveOptions::default()
             };
-            let mut lp = LinearProgram::new();
-            let x = lp.add_var(-0.75);
-            let y = lp.add_var(150.0);
-            let z = lp.add_var(-0.02);
-            let w = lp.add_var(6.0);
-            lp.add_row([(x, 0.25), (y, -60.0), (z, -0.04), (w, 9.0)], Cmp::Le, 0.0);
-            lp.add_row([(x, 0.5), (y, -90.0), (z, -0.02), (w, 3.0)], Cmp::Le, 0.0);
-            lp.add_row([(z, 1.0)], Cmp::Le, 1.0);
+            let lp = beale_lp();
             let sol = solve(&lp, &opts).unwrap();
             assert_eq!(sol.status, SolveStatus::Optimal);
             assert_close(sol.objective, -0.05, 1e-6);
+            assert_dual_update_contract(&lp, &sol);
         }
+    }
+
+    #[test]
+    fn ring_lp_dual_update_in_every_mode() {
+        // A two-phase solve with enough pivots that the multipliers are
+        // carried through dozens of dual updates between refreshes; every
+        // (kernel × pricing) mode must reach the same dual-certified
+        // optimum while refreshing y only at phase starts, refactorizations
+        // and the optimality checks.
+        let lp = ring_lp(60);
+        let reference = solve(&lp, &SolveOptions::default()).unwrap();
+        all_modes(|opts| {
+            let sol = solve(&lp, &opts).unwrap();
+            assert_close(sol.objective, reference.objective, 1e-6);
+            assert_dual_update_contract(&lp, &sol);
+            assert!(
+                4 * sol.numerics.dual_refreshes < sol.iterations as u64,
+                "{} refreshes over {} iterations",
+                sol.numerics.dual_refreshes,
+                sol.iterations
+            );
+        });
     }
 
     #[test]

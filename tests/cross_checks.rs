@@ -184,12 +184,14 @@ fn golden_calibration_counts() {
     // Re-pinned when `rand` moved to the vendored SplitMix64 stub (the
     // instance stream changed with the generator, not the algorithm).
     // Seed 3 re-pinned 10 -> 9 when devex became the default pricing
-    // rule, and 9 -> 10 when the LU kernel became the default basis
-    // factorization: each lands on a different optimal vertex of the
-    // same LP and rounding emits a different calibration count
-    // (objective unchanged — the equivalence proptests pin that).
-    let cases: [(u64, usize); 4] = [(0, 9), (1, 9), (2, 10), (3, 10)];
-    for (seed, expected) in cases {
+    // rule, 9 -> 10 when the LU kernel became the default basis
+    // factorization, and 10 -> 9 when the pivot loop started updating
+    // the simplex multipliers per pivot instead of re-running BTRAN: each
+    // lands on a different optimal vertex of the same LP and rounding
+    // emits a different calibration count. The LP objective is pinned
+    // alongside and never moves with the vertex.
+    let cases: [(u64, usize, f64); 4] = [(0, 9, 4.7), (1, 9, 3.6), (2, 10, 5.0), (3, 9, 6.2)];
+    for (seed, expected, lp_objective) in cases {
         let params = WorkloadParams {
             jobs: 10,
             machines: 1,
@@ -206,6 +208,16 @@ fn golden_calibration_counts() {
         )
         .expect("feasible");
         ise::model::validate(&inst, &outcome.schedule).expect("valid");
+        let objective = outcome
+            .long
+            .as_ref()
+            .expect("long jobs")
+            .fractional
+            .objective;
+        assert!(
+            (objective - lp_objective).abs() <= 1e-9,
+            "seed {seed}: LP objective {objective} != {lp_objective}"
+        );
         assert_eq!(
             outcome.schedule.num_calibrations(),
             expected,
