@@ -774,10 +774,16 @@ fn handle_request(
     drop(solve_span);
     // The token is polled at phase boundaries, so a solve can also finish
     // *after* its deadline; treat that as a timeout too for predictable
-    // `0 ms => fallback` semantics.
+    // `0 ms => fallback` semantics, and record how late it was.
     let overran = budget.is_some() && cancel.is_cancelled();
     let elapsed = started.elapsed();
     shared.metrics.solve_time.record(elapsed);
+    if let Some(budget) = budget.filter(|_| overran) {
+        shared
+            .metrics
+            .deadline_overshoot
+            .record(elapsed.saturating_sub(budget));
+    }
     let solve_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
 
     match result {
@@ -1202,6 +1208,26 @@ mod tests {
         ise_model::validate(&tiny_instance(5), &resp.schedule.unwrap()).unwrap();
         assert_eq!(engine.metrics().timeouts, 1);
         assert_eq!(engine.metrics().fallbacks, 1);
+    }
+
+    #[test]
+    fn overrun_solves_record_their_overshoot() {
+        let engine = Engine::new(EngineConfig::default());
+        let on_time = engine
+            .submit(EngineRequest::new(tiny_instance(4)))
+            .unwrap()
+            .wait();
+        assert_eq!(on_time.status, status::OK);
+        assert_eq!(engine.metrics().deadline_overshoot.count, 0);
+
+        let mut req = EngineRequest::new(tiny_instance(5));
+        req.timeout_ms = Some(0);
+        let late = engine.submit(req).unwrap().wait();
+        assert!(late.timed_out);
+        let overshoot = engine.metrics().deadline_overshoot;
+        assert_eq!(overshoot.count, 1);
+        // Against a zero budget the overshoot is the whole solve time.
+        assert!(overshoot.sum_us <= late.solve_us, "{overshoot:?}");
     }
 
     #[test]

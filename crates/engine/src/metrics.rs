@@ -232,6 +232,8 @@ pub struct EngineMetrics {
     pub queue_wait: LatencyHistogram,
     /// Time spent in the solver (cache misses only).
     pub solve_time: LatencyHistogram,
+    /// How far past its budget each overrunning solve finished.
+    pub deadline_overshoot: LatencyHistogram,
     /// Time spent serializing responses (recorded by `ise serve`).
     pub serialize_time: LatencyHistogram,
 }
@@ -275,6 +277,7 @@ impl EngineMetrics {
             sessions_open: 0,
             queue_wait: self.queue_wait.snapshot(),
             solve_time: self.solve_time.snapshot(),
+            deadline_overshoot: self.deadline_overshoot.snapshot(),
             serialize_time: self.serialize_time.snapshot(),
         }
     }
@@ -347,6 +350,9 @@ pub struct MetricsSnapshot {
     pub queue_wait: HistogramSnapshot,
     /// Solver latency histogram.
     pub solve_time: HistogramSnapshot,
+    /// Deadline-overshoot histogram (solves that finished past their
+    /// budget only).
+    pub deadline_overshoot: HistogramSnapshot,
     /// Response-serialization latency histogram.
     pub serialize_time: HistogramSnapshot,
 }
@@ -583,7 +589,7 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
             "# HELP ise_{name} {help}\n# TYPE ise_{name} gauge\nise_{name} {value}\n"
         ));
     }
-    let histograms: [(&str, &str, &HistogramSnapshot); 3] = [
+    let histograms: [(&str, &str, &HistogramSnapshot); 4] = [
         (
             "queue_wait_us",
             "Queue wait before a worker pickup",
@@ -593,6 +599,11 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
             "solve_time_us",
             "Solver latency (cache misses only)",
             &snap.solve_time,
+        ),
+        (
+            "deadline_overshoot_us",
+            "Time past the budget at which overrunning solves finished",
+            &snap.deadline_overshoot,
         ),
         (
             "serialize_time_us",
@@ -818,6 +829,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("ise_solve_time_us_sum 900"), "{text}");
+        assert!(
+            text.contains("# TYPE ise_deadline_overshoot_us histogram"),
+            "{text}"
+        );
         assert!(text.contains("ise_serialize_time_us_count 1"), "{text}");
         assert!(
             text.contains("# TYPE ise_session_reuse_total counter"),
@@ -848,7 +863,7 @@ mod tests {
         );
         // Bucket series must be cumulative: the +Inf bucket equals _count.
         let inf: Vec<&str> = text.lines().filter(|l| l.contains("le=\"+Inf\"")).collect();
-        assert_eq!(inf.len(), 4, "{text}");
+        assert_eq!(inf.len(), 5, "{text}");
         // Every non-comment line is `name{labels} value` or `name value`
         // (f64: the residual histogram emits floats).
         for line in text.lines() {

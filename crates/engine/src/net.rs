@@ -1,8 +1,9 @@
 //! TCP frontend for the JSONL serve protocol: `ise serve --listen`.
 //!
 //! Std-only threading, no async runtime: one nonblocking acceptor thread
-//! plus one thread per connection, each running the same `serve_lines`
-//! loop as the stdin/file [`serve`](fn@crate::serve) path. Every
+//! plus two threads per connection (a reader and a response writer), each
+//! pair running the same `serve_lines` loop as the stdin/file
+//! [`serve`](fn@crate::serve) path. Every
 //! connection gets its own session scope — sessions opened over a
 //! connection are pinned to it (commands from another connection get an
 //! inline error) and are force-closed when the connection ends, however
@@ -20,9 +21,10 @@
 //! * **Idle timeout**: a connection that sends nothing for
 //!   [`NetOptions::idle_timeout`] is told so and closed
 //!   (`ise_idle_timeouts_total`).
-//! * **Bounded write queues**: the per-stream `max_pending` head-of-line
-//!   discipline bounds buffered responses per connection; queue waits are
-//!   histogrammed as `ise_net_queue_wait_us`.
+//! * **Bounded write queues**: each connection's reader hands responses
+//!   to its writer through a channel of `max_pending` entries, so a slow
+//!   peer stops that connection's reads; queue waits are histogrammed as
+//!   `ise_net_queue_wait_us`.
 //! * **Graceful drain**: a `{"cmd": "shutdown"}` line on any connection
 //!   (or [`NetServer::shutdown`]) stops the acceptor — the listener
 //!   closes, so late connects are refused by the OS — wakes every
@@ -373,11 +375,12 @@ fn handle_accept(mut stream: TcpStream, shared: &Arc<NetShared>) {
     shared.handles.lock().expect("handles lock").push(handle);
 }
 
-/// Socket read timeout driving the serve loop's poll ticks: each
-/// `WouldBlock` wakeup drains resolved responses to the peer and checks
-/// the idle budget. Short enough that response latency while the peer is
-/// quiet stays negligible; long enough that an idle connection costs
-/// ~40 wakeups/s.
+/// Socket read timeout pacing the idle check: each `WouldBlock` wakeup
+/// compares the time since the last *complete* line against the idle
+/// budget. Responses do not wait for it; the connection's writer thread
+/// sends each one as it resolves. A read timeout equal to the idle budget
+/// would not do: every byte a slow-loris trickles in restarts it. An idle
+/// connection costs ~40 wakeups/s.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
 fn serve_connection(reader: TcpStream, writer: TcpStream, conn_id: u64, shared: &Arc<NetShared>) {

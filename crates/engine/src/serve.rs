@@ -42,19 +42,21 @@
 //! cannot collide with any valid explicit id — mixing explicit and
 //! implicit ids in one stream is safe.
 //!
-//! # Backpressure
+//! # Threads and backpressure
 //!
-//! At most [`ServeOptions::max_pending`] responses are buffered awaiting
-//! an earlier (head-of-line) response; beyond that the reader blocks on
-//! the head rather than buffering the whole input.
+//! Each stream runs two threads: the caller reads and dispatches lines,
+//! and a writer thread writes each response as soon as it resolves. They
+//! share a channel of [`ServeOptions::max_pending`] entries; when it is
+//! full (the head-of-line response is still solving, or the peer reads
+//! slowly) the reader blocks instead of buffering the whole input.
 
 use crate::engine::{
     status, Engine, EngineConfig, EngineRequest, EngineResponse, ResponseSlot, GLOBAL_SCOPE,
 };
 use crate::metrics::{prometheus_text, MetricsSnapshot, NetMetrics};
-use std::collections::VecDeque;
 use std::io::{BufRead, ErrorKind, Write};
 use std::path::PathBuf;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 
 /// First id the server assigns to requests that omit `id`. Explicit ids
@@ -72,34 +74,17 @@ enum Pending {
 }
 
 impl Pending {
-    /// Non-blocking poll.
-    fn poll(&mut self) -> Option<EngineResponse> {
-        match self {
-            Pending::InFlight(slot) => slot.try_take(),
-            Pending::Immediate(_) => match std::mem::replace(self, Pending::taken()) {
-                Pending::Immediate(r) => Some(*r),
-                Pending::InFlight(_) => unreachable!("matched Immediate"),
-            },
-        }
-    }
-
-    /// Blocking resolve.
+    /// Block until the response is available.
     fn wait(self) -> EngineResponse {
         match self {
             Pending::InFlight(slot) => slot.wait(),
             Pending::Immediate(r) => *r,
         }
     }
-
-    /// Placeholder left behind by [`Pending::poll`] on an `Immediate`
-    /// entry; the caller pops the entry immediately after.
-    fn taken() -> Pending {
-        Pending::Immediate(Box::new(immediate_response(0, "taken".to_string())))
-    }
 }
 
 /// A pending response plus the instant it entered the write queue, so the
-/// network frontend can histogram head-of-line wait.
+/// network frontend can histogram write-queue wait.
 struct Entry {
     pending: Pending,
     queued: Instant,
@@ -117,8 +102,8 @@ impl Entry {
 /// How [`serve_with`] streams and reports.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Maximum responses buffered while waiting for an earlier one;
-    /// reading blocks on the head-of-line response beyond this.
+    /// Maximum responses queued behind the one being written; reading
+    /// blocks while the queue is full.
     pub max_pending: usize,
     /// Maximum accepted request-line length in bytes. Longer lines are
     /// discarded (never buffered) and answered with an inline error.
@@ -187,7 +172,7 @@ pub(crate) enum LineRead {
 /// Incremental bounded line assembly. Partial-line state survives
 /// `WouldBlock`/`TimedOut` errors from the underlying reader, so a
 /// socket with a short read timeout can be *polled* for the next line —
-/// that is how the TCP frontend streams responses out while the peer is
+/// that is how the TCP frontend checks its idle budget while the peer is
 /// quiet — without ever losing bytes already pulled off the wire.
 pub(crate) struct LineReader {
     buf: Vec<u8>,
@@ -334,42 +319,22 @@ fn write_entry<W: Write>(
     write_response(engine, output, response, responses)
 }
 
-/// Pop and write every already-resolved response at the head of the
-/// queue. Responses behind an unresolved head stay queued to preserve
-/// input order.
-fn drain_ready<W: Write>(
+/// The writer half of a stream: take each queued entry in input order,
+/// wait for it to resolve, and write and flush it at once. Returns when
+/// the reader drops its sender and the queue is empty, or on the first
+/// write error (dropping the receiver, so the reader's next send fails).
+fn write_entries<W: Write>(
     engine: &Engine,
-    pending: &mut VecDeque<Entry>,
+    queue: Receiver<Entry>,
     output: &mut W,
     responses: &mut u64,
     net: Option<&NetMetrics>,
 ) -> std::io::Result<()> {
-    while let Some(head) = pending.front_mut() {
-        match head.pending.poll() {
-            Some(response) => {
-                let queued = head.queued;
-                pending.pop_front();
-                write_entry(engine, output, &response, queued, responses, net)?;
-            }
-            None => break,
-        }
-    }
-    Ok(())
-}
-
-/// Blocking drain: resolve and write everything left, in order.
-fn drain_all<W: Write>(
-    engine: &Engine,
-    pending: &mut VecDeque<Entry>,
-    output: &mut W,
-    responses: &mut u64,
-    net: Option<&NetMetrics>,
-) -> std::io::Result<()> {
-    while let Some(entry) = pending.pop_front() {
+    for entry in queue {
         let response = entry.pending.wait();
         write_entry(engine, output, &response, entry.queued, responses, net)?;
     }
-    Ok(())
+    output.flush()
 }
 
 fn write_metrics_file(engine: &Engine, path: &std::path::Path) -> std::io::Result<()> {
@@ -400,7 +365,7 @@ pub(crate) struct StreamScope<'a> {
     /// Give up on the stream when this long passes without a *complete*
     /// line (so a byte-trickling slow-loris cannot hold the connection
     /// open either). Requires the input to have a short read timeout,
-    /// whose `WouldBlock` wakeups double as response-drain ticks.
+    /// whose `WouldBlock` wakeups pace this check.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -486,13 +451,14 @@ fn parse_line(engine: &Engine, scope: u64, line: &str, lineno: usize) -> ParsedL
     ParsedLine::Entry(entry)
 }
 
-/// The serve loop shared by the stdin/file path and every TCP connection:
-/// read bounded lines, dispatch them against `engine`, and stream ordered
-/// responses to `output` under the `max_pending` head-of-line discipline.
-/// Returns why reading stopped; all pending work is drained and flushed
-/// before returning (including on a returned I/O error's best-effort
-/// path — a dead writer ends the drain early).
-pub(crate) fn serve_lines<R: BufRead, W: Write>(
+/// The serve loop shared by the stdin/file path and every TCP connection.
+/// The calling thread reads bounded lines, dispatches them against
+/// `engine`, and queues each entry on a channel of `max_pending` slots; a
+/// scoped writer thread writes and flushes each response, in input order,
+/// the moment it resolves. Returns why reading stopped; every queued entry
+/// is written and flushed before returning. A write error stops the
+/// reader and is returned ahead of any read outcome.
+pub(crate) fn serve_lines<R: BufRead, W: Write + Send>(
     engine: &Engine,
     input: &mut R,
     output: &mut W,
@@ -500,35 +466,53 @@ pub(crate) fn serve_lines<R: BufRead, W: Write>(
     ctx: &StreamScope<'_>,
     responses: &mut u64,
 ) -> std::io::Result<LoopExit> {
-    let max_pending = opts.max_pending.max(1);
-    let mut pending: VecDeque<Entry> = VecDeque::new();
+    let (queue, entries) = sync_channel(opts.max_pending.max(1));
+    // Carry the stream's trace onto the writer so its `net.write` spans
+    // are recorded next to the reader's `net.read` spans.
+    let trace = ise_obs::SpanContext::current();
+    let net = ctx.net;
+    std::thread::scope(|s| {
+        let writer = s.spawn(move || {
+            let _trace = trace.install();
+            write_entries(engine, entries, output, responses, net)
+        });
+        let read = read_lines(engine, input, opts, ctx, queue);
+        let written = writer.join().expect("serve writer thread panicked");
+        written.and(read)
+    })
+}
+
+/// The reader half of [`serve_lines`]. Consumes the sender, so the writer
+/// drains and exits once this returns. A blocked `send` is the
+/// backpressure: with `max_pending` entries queued behind the one being
+/// written, the stream stops reading.
+fn read_lines<R: BufRead>(
+    engine: &Engine,
+    input: &mut R,
+    opts: &ServeOptions,
+    ctx: &StreamScope<'_>,
+    queue: SyncSender<Entry>,
+) -> std::io::Result<LoopExit> {
     let mut line_reader = LineReader::new();
     let mut last_metrics = Instant::now();
     let mut last_line = Instant::now();
     let mut lineno = 0usize;
-    let exit = loop {
+    loop {
         let line = {
             let _span = ise_obs::Span::enter("net.read");
             line_reader.poll_line(input, opts.max_line_len)
         };
         let parsed = match line {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // A read-timeout tick, not (yet) an idle disconnect: flush
-                // whatever resolved while the peer was quiet, then either
-                // give up on a genuinely idle stream or poll again.
-                drain_ready(engine, &mut pending, output, responses, ctx.net)?;
+                // A read-timeout tick, not (yet) an idle disconnect: give
+                // up on a genuinely idle stream or poll again.
                 match ctx.idle_timeout {
-                    Some(idle) if last_line.elapsed() >= idle => break LoopExit::IdleTimeout,
+                    Some(idle) if last_line.elapsed() >= idle => return Ok(LoopExit::IdleTimeout),
                     _ => continue,
                 }
             }
-            Err(e) => {
-                // Flush whatever already resolved before surfacing the
-                // error; ignore secondary failures on the way down.
-                let _ = drain_all(engine, &mut pending, output, responses, ctx.net);
-                return Err(e);
-            }
-            Ok(LineRead::Eof) => break LoopExit::Eof,
+            Err(e) => return Err(e),
+            Ok(LineRead::Eof) => return Ok(LoopExit::Eof),
             Ok(LineRead::TooLong) => {
                 last_line = Instant::now();
                 if let Some(net) = ctx.net {
@@ -555,23 +539,16 @@ pub(crate) fn serve_lines<R: BufRead, W: Write>(
                 parse_line(engine, ctx.scope, &text, this_line)
             }
         };
-        match parsed {
-            ParsedLine::Shutdown(ack) => {
-                pending.push_back(Entry::new(ack));
-                break LoopExit::Shutdown;
-            }
-            ParsedLine::Entry(entry) => {
-                pending.push_back(Entry::new(entry));
-                drain_ready(engine, &mut pending, output, responses, ctx.net)?;
-                while pending.len() >= max_pending {
-                    // Bounded buffering: block on the head-of-line
-                    // response instead of queueing the rest of the input.
-                    let head = pending.pop_front().expect("len >= 1");
-                    let response = head.pending.wait();
-                    write_entry(engine, output, &response, head.queued, responses, ctx.net)?;
-                    drain_ready(engine, &mut pending, output, responses, ctx.net)?;
-                }
-            }
+        let (pending, exit) = match parsed {
+            ParsedLine::Shutdown(ack) => (ack, Some(LoopExit::Shutdown)),
+            ParsedLine::Entry(entry) => (entry, None),
+        };
+        if queue.send(Entry::new(pending)).is_err() {
+            // The writer failed; `serve_lines` returns its error instead.
+            return Err(ErrorKind::BrokenPipe.into());
+        }
+        if let Some(exit) = exit {
+            return Ok(exit);
         }
         // Periodic metrics are per-process state: the file/stdin path
         // writes them here; the TCP frontend's acceptor owns them instead
@@ -584,14 +561,11 @@ pub(crate) fn serve_lines<R: BufRead, W: Write>(
                 }
             }
         }
-    };
-    drain_all(engine, &mut pending, output, responses, ctx.net)?;
-    output.flush()?;
-    Ok(exit)
+    }
 }
 
 /// [`serve_with`] under default [`ServeOptions`].
-pub fn serve<R: BufRead, W: Write>(
+pub fn serve<R: BufRead, W: Write + Send>(
     input: R,
     output: &mut W,
     config: EngineConfig,
@@ -605,7 +579,7 @@ pub fn serve<R: BufRead, W: Write>(
 ///
 /// I/O errors abort the run; per-request failures do not. A
 /// `{"cmd": "shutdown"}` line stops reading early after a full drain.
-pub fn serve_with<R: BufRead, W: Write>(
+pub fn serve_with<R: BufRead, W: Write + Send>(
     input: R,
     output: &mut W,
     config: EngineConfig,
@@ -858,11 +832,10 @@ mod tests {
         );
     }
 
-    /// Yields one request line per `read` call, sleeping before the final
-    /// line so earlier requests have time to resolve. At EOF it records
-    /// whether the writer had already emitted a response — the serve loop
-    /// drains opportunistically after each submit, so a response written
-    /// before the EOF read proves pre-EOF streaming.
+    /// Yields one request line per `read` call. Before the second line it
+    /// blocks (for at most 10 s) until a response has been written and
+    /// records whether one was: with the reader stuck waiting for input,
+    /// only a writer that runs on its own can get the first answer out.
     struct GatedReader {
         lines: Vec<String>,
         next: usize,
@@ -872,11 +845,7 @@ mod tests {
 
     impl Read for GatedReader {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.next >= self.lines.len() {
-                // Grace period: the drain after the last submit races the
-                // last-but-one solve; give it a bounded moment. (The write
-                // happens on the serve thread before this read is issued,
-                // so in the common case written > 0 already.)
+            if self.next == 1 {
                 let deadline = Instant::now() + Duration::from_secs(10);
                 while self.written.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
                     std::thread::sleep(Duration::from_millis(1));
@@ -884,14 +853,11 @@ mod tests {
                 if self.written.load(Ordering::SeqCst) > 0 {
                     self.streamed.store(true, Ordering::SeqCst);
                 }
+            }
+            let Some(line) = self.lines.get(self.next) else {
                 return Ok(0);
-            }
-            if self.next == self.lines.len() - 1 {
-                // Let the earlier requests finish solving so the drain
-                // after this line's submit flushes them pre-EOF.
-                std::thread::sleep(Duration::from_secs(1));
-            }
-            let line = self.lines[self.next].as_bytes();
+            };
+            let line = line.as_bytes();
             assert!(buf.len() >= line.len(), "test lines fit one read");
             buf[..line.len()].copy_from_slice(line);
             self.next += 1;
@@ -959,6 +925,112 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![0, 1, 2], "streaming must preserve input order");
+    }
+
+    /// Yields one request line per `read` call, counting the lines the
+    /// serve loop has pulled.
+    struct LineFeed {
+        lines: Vec<String>,
+        consumed: Arc<AtomicU64>,
+    }
+
+    impl Read for LineFeed {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let next = self.consumed.load(Ordering::SeqCst) as usize;
+            let Some(line) = self.lines.get(next) else {
+                return Ok(0);
+            };
+            let line = line.as_bytes();
+            assert!(buf.len() >= line.len(), "test lines fit one read");
+            buf[..line.len()].copy_from_slice(line);
+            self.consumed.fetch_add(1, Ordering::SeqCst);
+            Ok(line.len())
+        }
+    }
+
+    /// Holds its first write until `gate` fires or hangs up (at most
+    /// 10 s), like a peer that stops reading.
+    struct GatedWriter {
+        buf: Vec<u8>,
+        gate: Option<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Write for GatedWriter {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            if let Some(gate) = self.gate.take() {
+                let _ = gate.recv_timeout(Duration::from_secs(10));
+            }
+            self.buf.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn blocked_writer_stops_reading() {
+        const MAX_PENDING: usize = 2;
+        let consumed = Arc::new(AtomicU64::new(0));
+        let reader = LineFeed {
+            lines: (0..20)
+                .map(|i| format!("{}\n", request_line(i, 2 + (i as i64 % 7))))
+                .collect(),
+            consumed: Arc::clone(&consumed),
+        };
+        let (release, gate) = std::sync::mpsc::channel();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut out = GatedWriter {
+                buf: Vec::new(),
+                gate: Some(gate),
+            };
+            let summary = serve_with(
+                BufReader::new(reader),
+                &mut out,
+                EngineConfig {
+                    workers: 2,
+                    ..EngineConfig::default()
+                },
+                &ServeOptions {
+                    max_pending: MAX_PENDING,
+                    ..ServeOptions::default()
+                },
+            );
+            let _ = done.send(summary.map(|s| (s.responses, out.buf)));
+        });
+
+        // One entry sits in the blocked write, `MAX_PENDING` are queued and
+        // the reader holds one more in its blocked send. Wait for the
+        // reader to get that far, then give an unbounded reader time to
+        // run past it.
+        let bound = MAX_PENDING as u64 + 2;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while consumed.load(Ordering::SeqCst) < bound && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        let seen = consumed.load(Ordering::SeqCst);
+        assert_eq!(seen, bound, "lines read while the writer was blocked");
+
+        release.send(()).unwrap();
+        let (responses, buf) = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("serve finished after the writer was released")
+            .unwrap();
+        assert_eq!(responses, 20);
+        assert_eq!(consumed.load(Ordering::SeqCst), 20);
+        let ids: Vec<u64> = std::str::from_utf8(&buf)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                serde_json::from_str::<serde_json::Value>(l).unwrap()["id"]
+                    .as_u64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(ids, (0..20).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -809,7 +809,9 @@ fn run_serve<R: BufRead>(
             Ok(summary)
         }
         None => {
-            let mut stdout = BufWriter::new(std::io::stdout().lock());
+            // Not `stdout().lock()`: the serve loop writes from its own
+            // thread, and a `StdoutLock` cannot move there.
+            let mut stdout = BufWriter::new(std::io::stdout());
             serve_with(input, &mut stdout, config, opts).map_err(|e| e.to_string())
         }
     }
