@@ -18,7 +18,7 @@ use ise_sched::points::{calibration_points, calibration_points_with};
 use ise_sched::rounding::{assign_machines, augmented_round, round_calibrations};
 use ise_sched::short_window::{schedule_short_windows_with, CrossingPolicy, GAMMA};
 use ise_sched::speed_transform::trade_machines_for_speed;
-use ise_sched::{solve, SolverOptions};
+use ise_sched::{solve, SolveReport, SolverOptions};
 use ise_workloads::{long_only, short_only, stockpile, uniform, unit_jobs, WorkloadParams};
 
 fn main() {
@@ -361,7 +361,7 @@ fn t20() {
             schedule_short_windows_with(&inst, &ExactMm::default(), CrossingPolicy::ExtraMachines)
                 .ok()?;
         validate(&inst, &out.schedule).expect("valid");
-        let bound = lower_bound(&inst, &Default::default());
+        let bound = lower_bound(&inst);
         let w_star = out
             .intervals
             .iter()
@@ -926,7 +926,7 @@ fn i1() {
                 let improved =
                     improve(&inst, &solved.schedule, &ImproveOptions::default()).expect("improve");
                 validate(&inst, &improved.schedule).expect("valid");
-                let bound = lower_bound(&inst, &Default::default());
+                let bound = SolveReport::new(&inst, &solved).bounds;
                 table.row([
                     name.to_string(),
                     format!("{n}"),
@@ -970,7 +970,7 @@ fn m1() {
                 horizon: 25 * n as i64,
             };
             let inst = short_only(&params, seed);
-            let bound = lower_bound(&inst, &Default::default());
+            let bound = lower_bound(&inst);
             let mut cells = vec![format!("{n}"), format!("{seed}")];
             let backends: [&dyn ise_mm::MachineMinimizer; 4] = [
                 &ExactMm::default(),
@@ -1041,7 +1041,7 @@ fn b2() {
         .expect("feasible");
         validate(&inst, &lazy).unwrap();
         validate(&inst, &demand).unwrap();
-        let bound = lower_bound(&inst, &Default::default());
+        let bound = SolveReport::new(&inst, &general).bounds;
         let row = [
             lazy.num_calibrations(),
             demand.num_calibrations(),

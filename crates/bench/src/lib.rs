@@ -8,9 +8,8 @@
 pub mod perf;
 pub mod session;
 
-use ise_model::{validate, Instance, ScheduleStats};
-use ise_sched::lower_bound::lower_bound;
-use ise_sched::{solve, SolverOptions};
+use ise_model::{validate, Instance};
+use ise_sched::{solve, SolveReport, SolverOptions};
 use std::time::Instant;
 
 /// One measured solver run.
@@ -37,14 +36,13 @@ pub fn measure(instance: &Instance, opts: &SolverOptions) -> Result<Measurement,
     let outcome = solve(instance, opts).map_err(|e| e.to_string())?;
     let millis = start.elapsed().as_secs_f64() * 1e3;
     validate(instance, &outcome.schedule).expect("experiment produced an invalid schedule");
-    let stats = ScheduleStats::compute(instance, &outcome.schedule);
-    let bound = lower_bound(instance, &Default::default());
+    let report = SolveReport::new(instance, &outcome);
     Ok(Measurement {
-        calibrations: stats.calibrations,
-        machines: stats.machines,
-        lower_bound: bound.best,
-        ratio: stats.calibrations as f64 / bound.best.max(1) as f64,
-        utilization: stats.utilization,
+        calibrations: report.stats.calibrations,
+        machines: report.stats.machines,
+        lower_bound: report.bounds.best,
+        ratio: report.ratio,
+        utilization: report.stats.utilization,
         millis,
     })
 }

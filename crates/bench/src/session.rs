@@ -10,7 +10,10 @@
 //! fresh run against that committed baseline with the same generous
 //! threshold the LP suite uses, and additionally gates the *reuse ratio*:
 //! the incremental path must keep reporting at least [`MIN_ITER_RATIO`]×
-//! fewer total LP iterations than from-scratch.
+//! fewer total LP iterations than from-scratch, and must take at most
+//! [`MAX_WALL_RATIO`]× the from-scratch wall time per commit. Both paths
+//! of that last gate are timed in the same run, so it holds on any
+//! machine.
 //!
 //! Timing replays the whole log per rep (a commit cannot be re-measured in
 //! isolation — reuse state is the point) and takes min-of-reps totals.
@@ -30,6 +33,11 @@ pub const SESSION_BENCH_VERSION: u32 = 1;
 /// Minimum total-LP-iteration advantage the incremental path must keep
 /// over from-scratch on the pinned log (`scratch / incremental`).
 pub const MIN_ITER_RATIO: f64 = 2.0;
+
+/// Maximum wall time per commit of the incremental path, as a multiple of
+/// the from-scratch path timed in the same run
+/// (`ns_per_commit_incremental / ns_per_commit_scratch`).
+pub const MAX_WALL_RATIO: f64 = 1.0;
 
 /// The pinned session workload: base-instance generator parameters plus
 /// the commit count of the derived delta log.
@@ -270,6 +278,14 @@ pub fn compare_session(
             current.ns_per_commit_incremental, baseline.ns_per_commit_incremental
         ));
     }
+    let scratch_limit = (current.ns_per_commit_scratch as f64) * MAX_WALL_RATIO;
+    if (current.ns_per_commit_incremental as f64) > scratch_limit {
+        problems.push(format!(
+            "{name}: {} ns/commit incremental exceeds {MAX_WALL_RATIO}x the same run's \
+             from-scratch path ({} ns/commit)",
+            current.ns_per_commit_incremental, current.ns_per_commit_scratch
+        ));
+    }
     let iter_limit = (baseline.total_incremental_iters as f64) * threshold;
     if (current.total_incremental_iters as f64) > iter_limit {
         problems.push(format!(
@@ -332,8 +348,23 @@ mod tests {
         let mut bad = report.clone();
         bad.ns_per_commit_incremental = report.ns_per_commit_incremental * 10 + 1;
         bad.iteration_ratio = 1.0;
+        // Past 2x the baseline, past the same run's scratch time, and
+        // below the iteration ratio.
         let problems = compare_session(&bad, &report, 2.0);
-        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert_eq!(problems.len(), 3, "{problems:?}");
+    }
+
+    #[test]
+    fn compare_session_gates_incremental_against_same_run_scratch() {
+        let report = run_session_suite(1).unwrap();
+        let mut slower = report.clone();
+        slower.ns_per_commit_scratch = 1_000;
+        slower.ns_per_commit_incremental = 1_001;
+        let problems = compare_session(&slower, &slower, 2.0);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("from-scratch"), "{problems:?}");
+        slower.ns_per_commit_incremental = 1_000;
+        assert!(compare_session(&slower, &slower, 2.0).is_empty());
     }
 
     #[test]

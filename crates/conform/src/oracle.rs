@@ -240,7 +240,7 @@ fn check_budgets(instance: &Instance, base: &Base) -> Result<(), Discrepancy> {
             format!("theorem audit failed: {}", failed.join("; ")),
         ));
     }
-    let lb = lower_bound(instance, &Default::default());
+    let lb = lower_bound(instance);
     let cals = out.schedule.num_calibrations() as u64;
     if cals < lb.best {
         return Err(disc(
@@ -378,7 +378,7 @@ fn check_exact(instance: &Instance, base: &Base, opts: &OracleOptions) -> Result
                     ),
                 ));
             }
-            let lb = lower_bound(instance, &Default::default());
+            let lb = lower_bound(instance);
             if (exact.calibrations as u64) < lb.best {
                 return Err(disc(
                     o,

@@ -20,6 +20,11 @@ use crate::rounding::{assign_machines, round_calibrations};
 use ise_model::{Instance, Schedule};
 use ise_simplex::{Basis, SolveOptions};
 
+/// Lemma 2: an ISE schedule on `m` machines becomes a TISE schedule on
+/// `3m` machines with at most `3×` the calibrations. Sets the LP machine
+/// budget of this pipeline and of [`crate::lower_bound`].
+pub(crate) const LEMMA2_FACTOR: usize = 3;
+
 /// Options for the long-window pipeline.
 #[derive(Clone, Debug)]
 pub struct LongWindowOptions {
@@ -75,7 +80,7 @@ pub fn schedule_long_windows(
         });
     }
     let calib_len = instance.calib_len();
-    let m_prime = 3 * instance.machines();
+    let m_prime = LEMMA2_FACTOR * instance.machines();
 
     let fractional = relax_and_solve(instance.jobs(), calib_len, m_prime, &opts.lp, warm)?;
     check_interrupt(&opts.lp)?;

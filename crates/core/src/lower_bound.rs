@@ -12,9 +12,13 @@
 //! * **LP** — for the long-window subset, any ISE schedule on `m` machines
 //!   induces (via Lemma 2) a TISE schedule on `3m` machines with at most
 //!   `3×` the calibrations, and every TISE schedule is LP-feasible, so
-//!   `⌈LP(3m)/3⌉` lower-bounds the ISE optimum.
+//!   `⌈LP(3m)/3⌉` lower-bounds the ISE optimum. That LP is the one the
+//!   long-window pipeline solves, so [`crate::SolveReport`] reads the
+//!   bound off a solve's outcome and [`lower_bound`] solves it only when
+//!   no outcome is at hand.
 
-use crate::lp::relax_and_solve;
+use crate::long_window::LEMMA2_FACTOR;
+use crate::lp::{relax_and_solve, FractionalSolution};
 use crate::short_window::GAMMA;
 use ise_mm::preemptive_lower_bound;
 use ise_model::{Instance, Job, Time};
@@ -33,11 +37,17 @@ pub struct LowerBoundReport {
     pub best: u64,
 }
 
-/// Compute all calibration lower bounds for `instance`.
-pub fn lower_bound(instance: &Instance, lp_opts: &SolveOptions) -> LowerBoundReport {
+/// Compute all calibration lower bounds for `instance`, solving the
+/// long-window LP from cold.
+pub fn lower_bound(instance: &Instance) -> LowerBoundReport {
+    with_lp_bound(instance, lp_bound(instance))
+}
+
+/// The work and interval bounds of `instance`, combined with an LP bound
+/// the caller already has.
+pub(crate) fn with_lp_bound(instance: &Instance, lp_long: Option<u64>) -> LowerBoundReport {
     let work = instance.work_lower_bound();
     let interval = interval_bound(instance);
-    let lp_long = lp_bound(instance, lp_opts);
     let best = work.max(interval).max(lp_long.unwrap_or(0));
     LowerBoundReport {
         work,
@@ -76,9 +86,9 @@ fn interval_bound(instance: &Instance) -> u64 {
     best
 }
 
-/// LP bound on the long-window subset: `⌈LP(3m)/3⌉` (with a small float
-/// guard). `None` if there are no long jobs or the LP failed.
-fn lp_bound(instance: &Instance, lp_opts: &SolveOptions) -> Option<u64> {
+/// LP bound on the long-window subset, solved here. `None` if there are
+/// no long jobs or the LP failed.
+pub(crate) fn lp_bound(instance: &Instance) -> Option<u64> {
     let (long_jobs, _) = instance.partition_long_short();
     if long_jobs.is_empty() {
         return None;
@@ -86,30 +96,32 @@ fn lp_bound(instance: &Instance, lp_opts: &SolveOptions) -> Option<u64> {
     let sol = relax_and_solve(
         &long_jobs,
         instance.calib_len(),
-        3 * instance.machines(),
-        lp_opts,
+        LEMMA2_FACTOR * instance.machines(),
+        &SolveOptions::default(),
         None,
     )
     .ok()?;
+    Some(lemma2_bound(&sol))
+}
+
+/// `⌈LP(3m)/3⌉` (with a small float guard) from the solved Lemma 2 LP of
+/// the long-window subset.
+pub(crate) fn lemma2_bound(sol: &FractionalSolution) -> u64 {
     // Prefer the dual certificate (a true lower bound on the LP optimum by
     // weak duality, independent of solver behaviour); fall back to the
     // primal objective only when no certificate is available.
     let lp_value = sol.certified_dual_bound.unwrap_or(sol.objective);
-    Some(((lp_value / 3.0) - 1e-6).ceil().max(0.0) as u64)
+    ((lp_value / LEMMA2_FACTOR as f64) - 1e-6).ceil().max(0.0) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn opts() -> SolveOptions {
-        SolveOptions::default()
-    }
-
     #[test]
     fn work_bound_dominates_tiny_cases() {
         let inst = Instance::new([(0, 40, 7), (0, 40, 7), (0, 40, 7)], 1, 10).unwrap();
-        let report = lower_bound(&inst, &opts());
+        let report = lower_bound(&inst);
         assert_eq!(report.work, 3);
         assert!(report.best >= 3);
     }
@@ -124,7 +136,7 @@ mod tests {
             10,
         )
         .unwrap();
-        let report = lower_bound(&inst, &opts());
+        let report = lower_bound(&inst);
         assert!(report.interval >= 2, "interval bound {}", report.interval);
         // Work bound alone already gives 4 here; check both.
         assert_eq!(report.work, 4);
@@ -137,7 +149,7 @@ mod tests {
         // they cannot share a calibration... after division by 3 it only
         // certifies 1. Check it is present and consistent.
         let inst = Instance::new([(0, 30, 5), (500, 530, 5)], 1, 10).unwrap();
-        let report = lower_bound(&inst, &opts());
+        let report = lower_bound(&inst);
         assert_eq!(report.lp_long, Some(1));
         assert!(report.best >= 1);
     }
@@ -145,7 +157,7 @@ mod tests {
     #[test]
     fn empty_instance_bounds_are_zero() {
         let inst = Instance::new([], 1, 10).unwrap();
-        let report = lower_bound(&inst, &opts());
+        let report = lower_bound(&inst);
         assert_eq!(report.best, 0);
     }
 
@@ -156,7 +168,7 @@ mod tests {
         let inst = Instance::new([(0, 30, 5), (0, 30, 5), (0, 30, 5), (0, 30, 5)], 2, 10).unwrap();
         // 20 work / T=10 => work bound 2; a 2-calibration schedule exists
         // (two machines, two jobs each).
-        let report = lower_bound(&inst, &opts());
+        let report = lower_bound(&inst);
         assert!(
             report.best <= 2,
             "bound {} exceeds the known optimum 2",

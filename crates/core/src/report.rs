@@ -5,7 +5,7 @@
 //! displayable summary — what the examples and the experiment harness
 //! print, and what a deployment would log per scheduling run.
 
-use crate::lower_bound::{lower_bound, LowerBoundReport};
+use crate::lower_bound::{lemma2_bound, lp_bound, with_lp_bound, LowerBoundReport};
 use crate::solver::SolveOutcome;
 use ise_model::{Instance, ScheduleStats};
 use ise_obs::PhaseTimings;
@@ -148,9 +148,20 @@ pub struct SolveReport {
 
 impl SolveReport {
     /// Build a report for `outcome` on `instance`.
+    ///
+    /// The bounds equal [`crate::lower_bound::lower_bound`]`(instance)`. A
+    /// speed-1 outcome whose long-window pipeline ran already holds the
+    /// Lemma 2 LP, so its bound is read from there; otherwise (speed
+    /// augmentation solves a refined instance, [`crate::solve_decomposed`]
+    /// keeps no LP) the LP is solved here.
     pub fn new(instance: &Instance, outcome: &SolveOutcome) -> SolveReport {
         let stats = ScheduleStats::compute(instance, &outcome.schedule);
-        let bounds = lower_bound(instance, &Default::default());
+        let unrefined = outcome.schedule.speed == 1 && outcome.schedule.time_scale == 1;
+        let lp_long = match &outcome.long {
+            Some(long) if unrefined => Some(lemma2_bound(&long.fractional)),
+            _ => lp_bound(instance),
+        };
+        let bounds = with_lp_bound(instance, lp_long);
         let crossing = outcome
             .short
             .as_ref()
@@ -268,7 +279,10 @@ impl fmt::Display for SolveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, SolverOptions};
+    use crate::decompose::solve_decomposed;
+    use crate::lower_bound::lower_bound;
+    use crate::solver::{solve, solve_incremental, solve_with_speed, SolveReuse, SolverOptions};
+    use ise_workloads::{WorkloadFamily, WorkloadParams};
 
     #[test]
     fn report_for_mixed_instance() {
@@ -300,5 +314,90 @@ mod tests {
         let report = SolveReport::new(&inst, &outcome);
         assert_eq!(report.short_jobs, 0);
         assert!(!report.to_string().contains("crossing"));
+    }
+
+    fn params(jobs: usize) -> WorkloadParams {
+        WorkloadParams {
+            jobs,
+            machines: 2,
+            calib_len: 10,
+            horizon: 150,
+        }
+    }
+
+    #[test]
+    fn bounds_read_from_the_outcome_match_the_standalone_bound() {
+        let mut with_lp = 0;
+        for family in WorkloadFamily::ALL {
+            for seed in 0..4 {
+                let inst = family.generate(&params(14), seed);
+                let Ok(outcome) = solve(&inst, &SolverOptions::default()) else {
+                    continue;
+                };
+                let bounds = SolveReport::new(&inst, &outcome).bounds;
+                assert_eq!(bounds, lower_bound(&inst), "{} seed {seed}", family.name());
+                with_lp += usize::from(bounds.lp_long.is_some());
+            }
+        }
+        assert!(with_lp >= 10, "only {with_lp} solves carried an LP bound");
+    }
+
+    #[test]
+    fn warm_started_outcomes_give_the_standalone_bound() {
+        // The same LP paths a session's cold, basis and warm commits take:
+        // a fresh reuse state, a machine-budget change, then a job delta.
+        for seed in 0..4 {
+            let base = WorkloadFamily::Uniform.generate(&params(16), seed);
+            let mut jobs: Vec<_> = base
+                .jobs()
+                .iter()
+                .map(|j| (j.release.ticks(), j.deadline.ticks(), j.proc.ticks()))
+                .collect();
+            jobs.push((10, 60, 9));
+            let steps = [
+                base.clone(),
+                base.with_machines(3),
+                Instance::new(jobs, 3, 10).unwrap(),
+            ];
+            let mut reuse = SolveReuse::new();
+            for (step, inst) in steps.iter().enumerate() {
+                let outcome = solve_incremental(inst, &SolverOptions::default(), &mut reuse)
+                    .expect("uniform instances solve");
+                let report = SolveReport::new(inst, &outcome);
+                assert_eq!(report.bounds, lower_bound(inst), "seed {seed} step {step}");
+                assert_eq!(outcome.long.is_some(), report.bounds.lp_long.is_some());
+                if step == 1 {
+                    let long = outcome.long.as_ref().expect("uniform has long jobs");
+                    assert!(long.fractional.warm_used, "budget change must warm-start");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outcomes_without_a_speed_one_lp_fall_back_to_solving_it() {
+        let inst = Instance::new([(0, 40, 7), (5, 50, 6), (0, 12, 6)], 1, 10).unwrap();
+        let sped = solve_with_speed(&inst, &SolverOptions::default(), 2, None).unwrap();
+        assert!(sped.long.is_some(), "the refined instance has long jobs");
+        let report = SolveReport::new(&inst, &sped);
+        assert_eq!(report.bounds, lower_bound(&inst));
+        assert!(report.bounds.lp_long.is_some());
+
+        // Infeasible at speed 1, so the instance's own LP has no bound,
+        // while the refined LP of the speed-2 outcome solved.
+        let inst = Instance::new((0..10).map(|_| (0, 20, 10)), 1, 10).unwrap();
+        let sped = solve_with_speed(&inst, &SolverOptions::default(), 2, None).unwrap();
+        assert!(sped.long.is_some());
+        let report = SolveReport::new(&inst, &sped);
+        assert_eq!(report.bounds, lower_bound(&inst));
+        assert_eq!(report.bounds.lp_long, None);
+
+        // Two components far apart: the decomposed outcome keeps no LP.
+        let inst = Instance::new([(0, 40, 7), (5, 50, 6), (500, 540, 8)], 1, 10).unwrap();
+        let decomposed = solve_decomposed(&inst, &SolverOptions::default()).unwrap();
+        assert!(decomposed.long.is_none());
+        let report = SolveReport::new(&inst, &decomposed);
+        assert_eq!(report.bounds, lower_bound(&inst));
+        assert!(report.bounds.lp_long.is_some());
     }
 }

@@ -582,6 +582,7 @@ fn apply_delta(instance: &Instance, delta: &Delta) -> Result<Instance, SessionEr
 mod tests {
     use super::*;
     use ise_model::validate;
+    use ise_sched::lower_bound::lower_bound;
     use ise_sched::solve;
 
     fn mixed() -> Instance {
@@ -657,6 +658,43 @@ mod tests {
         assert_eq!(c.telemetry.invalidated_intervals, 0);
         assert!(c.telemetry.memo_hits >= 1);
         assert_matches_scratch(&s, &c);
+    }
+
+    #[test]
+    fn every_tier_solves_the_lp_once_per_commit() {
+        // The report reads its Lemma 2 bound from the commit's own LP, so
+        // no tier may solve a second one, and the bound it reads is the
+        // standalone one.
+        fn traced_commit(s: &mut Session) -> (Commit, usize) {
+            let trace = ise_obs::Trace::new(4096);
+            let commit = {
+                let _guard = trace.install();
+                s.commit().unwrap()
+            };
+            assert_eq!(trace.dropped(), 0);
+            let Verdict::Feasible { report, .. } = &commit.verdict else {
+                panic!("mixed instances stay feasible");
+            };
+            assert_eq!(report.bounds, lower_bound(s.committed()));
+            let lp_solves = trace
+                .drain()
+                .iter()
+                .filter(|r| r.name == "lp.solve")
+                .count();
+            (commit, lp_solves)
+        }
+        let mut s = Session::open(mixed());
+        let (cold, n) = traced_commit(&mut s);
+        assert_eq!(cold.telemetry.tier, ReuseTier::Cold);
+        assert_eq!(n, 1, "cold commit");
+        s.apply(&Delta::AddJobs(vec![(10, 60, 9)])).unwrap();
+        let (warm, n) = traced_commit(&mut s);
+        assert_eq!(warm.telemetry.tier, ReuseTier::Warm);
+        assert_eq!(n, 1, "warm commit");
+        s.apply(&Delta::SetMachines(2)).unwrap();
+        let (basis, n) = traced_commit(&mut s);
+        assert_eq!(basis.telemetry.tier, ReuseTier::Basis);
+        assert_eq!(n, 1, "basis commit");
     }
 
     #[test]

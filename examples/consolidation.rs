@@ -29,7 +29,7 @@ fn main() {
     let instance = uniform(&params, seed);
     let outcome = solve(&instance, &SolverOptions::default()).expect("feasible");
     validate(&instance, &outcome.schedule).expect("valid");
-    let bound = lower_bound(&instance, &Default::default());
+    let bound = lower_bound(&instance);
 
     let render = RenderOptions {
         max_width: 84,

@@ -33,7 +33,7 @@ fn main() {
     validate(&instance, &outcome.schedule).expect("schedule is feasible");
 
     let stats = ScheduleStats::compute(&instance, &outcome.schedule);
-    let bound = lower_bound(&instance, &Default::default());
+    let bound = lower_bound(&instance);
 
     println!(
         "jobs            : {} ({} long, {} short)",

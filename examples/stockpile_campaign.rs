@@ -42,7 +42,7 @@ fn main() {
         Ok(outcome) => {
             validate(&instance, &outcome.schedule).expect("schedule is feasible");
             let stats = ScheduleStats::compute(&instance, &outcome.schedule);
-            let bound = lower_bound(&instance, &Default::default());
+            let bound = lower_bound(&instance);
             println!("  long jobs (routine) : {}", outcome.long_jobs);
             println!("  short jobs (urgent) : {}", outcome.short_jobs);
             println!("  calibrations        : {}", stats.calibrations);

@@ -322,7 +322,7 @@ fn cmd_bounds(args: &[&String]) -> Result<(), String> {
     let pos = positionals(args, &[]);
     let path = pos.first().ok_or("bounds requires an instance file")?;
     let instance = read_instance(path)?;
-    let report = lower_bound(&instance, &Default::default());
+    let report = lower_bound(&instance);
     println!("work bound     : {}", report.work);
     println!("interval bound : {}", report.interval);
     println!(

@@ -146,7 +146,7 @@ fn calibration_bounds_never_exceed_brute_force_optimum() {
         let Some(exact) = optimal(&inst, &ExactOptions::default()).expect("budget") else {
             continue;
         };
-        let bound = lower_bound(&inst, &Default::default());
+        let bound = lower_bound(&inst);
         assert!(
             bound.best as usize <= exact.calibrations,
             "seed {seed}: bound {} exceeds optimum {}",

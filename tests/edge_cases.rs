@@ -126,7 +126,7 @@ fn identical_job_swarm() {
     .unwrap();
     let out = solve(&inst, &opts()).unwrap();
     validate(&inst, &out.schedule).unwrap();
-    let bound = lower_bound(&inst, &Default::default());
+    let bound = lower_bound(&inst);
     assert!(out.schedule.num_calibrations() as u64 >= bound.best);
 }
 
@@ -185,7 +185,7 @@ fn common_release_burst() {
     .unwrap();
     let out = solve(&inst, &opts()).unwrap();
     validate(&inst, &out.schedule).unwrap();
-    let bound = lower_bound(&inst, &Default::default());
+    let bound = lower_bound(&inst);
     // 48 work / 10 => at least 5 calibrations.
     assert!(bound.work >= 5);
     assert!(out.schedule.num_calibrations() >= 5);

@@ -21,7 +21,7 @@ fn check(instance: &ise::model::Instance, label: &str) {
         report.all_ok(),
         "{label}: theorem-budget audit failed:\n{report}"
     );
-    let bound = lower_bound(instance, &Default::default());
+    let bound = lower_bound(instance);
     let cals = outcome.schedule.num_calibrations() as u64;
     assert!(
         cals >= bound.best,
