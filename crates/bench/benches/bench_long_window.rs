@@ -3,8 +3,9 @@
 //! counterpart.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ise_sched::long_window::{schedule_long_windows, LongWindowOptions};
+use ise_sched::long_window::schedule_long_windows;
 use ise_sched::lp::relax_and_solve;
+use ise_simplex::SolveOptions;
 use ise_workloads::{long_only, WorkloadParams};
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -19,7 +20,7 @@ fn bench_pipeline(c: &mut Criterion) {
         };
         let inst = long_only(&params, 7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
-            b.iter(|| schedule_long_windows(inst, &LongWindowOptions::default(), None).unwrap())
+            b.iter(|| schedule_long_windows(inst, &SolveOptions::default(), None).unwrap())
         });
     }
     group.finish();

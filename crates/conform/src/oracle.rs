@@ -440,14 +440,15 @@ fn check_exact(instance: &Instance, base: &Base, opts: &OracleOptions) -> Result
 /// the Markowitz/Forrest–Tomlin kernel, devex partial pricing, and the
 /// Harris two-pass rule in one shot.
 fn dense_options() -> SolverOptions {
-    let mut opts = SolverOptions::default();
-    opts.long.lp = ise_simplex::SolveOptions {
-        factorization: ise_simplex::Factorization::Eta,
-        pricing: ise_simplex::Pricing::Dantzig,
-        ratio_test: ise_simplex::RatioTest::Baseline,
-        ..ise_simplex::SolveOptions::default()
-    };
-    opts
+    SolverOptions {
+        lp: ise_simplex::SolveOptions {
+            factorization: ise_simplex::Factorization::Eta,
+            pricing: ise_simplex::Pricing::Dantzig,
+            ratio_test: ise_simplex::RatioTest::Baseline,
+            ..ise_simplex::SolveOptions::default()
+        },
+        ..SolverOptions::default()
+    }
 }
 
 fn objectives_agree(a: f64, b: f64) -> bool {

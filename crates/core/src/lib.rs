@@ -64,6 +64,6 @@ pub use improve::{improve, ImproveOptions, ImproveOutcome};
 pub use report::{LpTelemetry, SolveReport};
 pub use short_window::ShortWindowMemo;
 pub use solver::{
-    refine_for_speed, solve, solve_incremental, solve_with_speed, try_refine_for_speed, MmBackend,
+    refine_for_speed, solve, solve_incremental, solve_with_speed, try_refine_for_speed,
     SolveOutcome, SolveReuse, SolverOptions,
 };

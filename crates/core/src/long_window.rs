@@ -25,31 +25,11 @@ use ise_simplex::{Basis, SolveOptions};
 /// budget of this pipeline and of [`crate::lower_bound`].
 pub(crate) const LEMMA2_FACTOR: usize = 3;
 
-/// Options for the long-window pipeline.
-#[derive(Clone, Debug)]
-pub struct LongWindowOptions {
-    /// Rounding threshold; the paper's value is `1/2`. Values above `1/2`
-    /// void the feasibility guarantee (ablation A3 demonstrates this).
-    pub threshold: f64,
-    /// Mirror the rounded calendar before EDF (Lemma 9). Disabling is for
-    /// ablation A1 only: EDF may then leave jobs unscheduled.
-    pub mirror: bool,
-    /// LP solver options. Its `interrupt` is the pipeline's cancellation
-    /// hook: polled before the LP build, between the LP and rounding, and
-    /// inside the simplex pivot loop. [`crate::solve`] sets it from
-    /// [`crate::SolverOptions::cancel`].
-    pub lp: SolveOptions,
-}
-
-impl Default for LongWindowOptions {
-    fn default() -> LongWindowOptions {
-        LongWindowOptions {
-            threshold: 0.5,
-            mirror: true,
-            lp: SolveOptions::default(),
-        }
-    }
-}
+/// Algorithm 1's rounding threshold (Corollary 6): a calibration opens
+/// once the accumulated fractional mass reaches `1/2`. Larger values void
+/// the feasibility guarantee (ablation A3 calls [`round_calibrations`]
+/// directly to show this).
+const ROUNDING_THRESHOLD: f64 = 0.5;
 
 /// Everything the pipeline produced, for experiments and tests.
 #[derive(Clone, Debug)]
@@ -65,13 +45,17 @@ pub struct LongWindowOutcome {
 }
 
 /// Run the pipeline on a long-window instance. The machine budget for the
-/// LP is `3 × instance.machines()` per Lemma 2. `warm` is an optional
+/// LP is `3 × instance.machines()` per Lemma 2. `lp` configures the LP
+/// solve; its `interrupt` is the pipeline's cancellation hook, polled
+/// before the LP build, between the LP and rounding, and inside the
+/// simplex pivot loop ([`crate::solve`] sets it from
+/// [`crate::SolverOptions::cancel`]). `warm` is an optional
 /// warm-start basis from a previous LP solve of the same jobs and
 /// calibration length (e.g. at a different machine budget); an
 /// incompatible basis is silently ignored.
 pub fn schedule_long_windows(
     instance: &Instance,
-    opts: &LongWindowOptions,
+    lp: &SolveOptions,
     warm: Option<&Basis>,
 ) -> Result<LongWindowOutcome, SchedError> {
     if !instance.all_long() {
@@ -82,26 +66,24 @@ pub fn schedule_long_windows(
     let calib_len = instance.calib_len();
     let m_prime = LEMMA2_FACTOR * instance.machines();
 
-    let fractional = relax_and_solve(instance.jobs(), calib_len, m_prime, &opts.lp, warm)?;
-    check_interrupt(&opts.lp)?;
+    let fractional = relax_and_solve(instance.jobs(), calib_len, m_prime, lp, warm)?;
+    check_interrupt(lp)?;
     let round_span = ise_obs::Span::enter("long.round");
-    let times = round_calibrations(&fractional.points, &fractional.c, opts.threshold);
+    let times = round_calibrations(&fractional.points, &fractional.c, ROUNDING_THRESHOLD);
     let bank = assign_machines(&times, calib_len);
     let bank_machines = bank.iter().map(|c| c.machine + 1).max().unwrap_or(0);
     drop(round_span);
 
-    let full = if opts.mirror {
+    let full = {
         let _span = ise_obs::Span::enter("long.mirror");
         mirror(&bank, bank_machines)
-    } else {
-        bank
     };
     let edf_span = ise_obs::Span::enter("long.edf");
     let outcome = assign_jobs(instance.jobs(), &full, calib_len);
     drop(edf_span);
     if !outcome.unscheduled.is_empty() {
-        // Lemmas 8–10 guarantee this cannot happen with the paper's
-        // parameters; it can with ablation settings.
+        // Lemmas 8–10 guarantee this cannot happen; kept as a safety check
+        // so a defect upstream surfaces as an error, not a partial schedule.
         return Err(SchedError::Internal {
             stage: "long-window EDF left jobs unscheduled",
             jobs: outcome.unscheduled,
@@ -124,7 +106,7 @@ mod tests {
     use ise_model::{validate, validate_tise, Instance};
 
     fn run(inst: &Instance) -> LongWindowOutcome {
-        schedule_long_windows(inst, &LongWindowOptions::default(), None).unwrap()
+        schedule_long_windows(inst, &SolveOptions::default(), None).unwrap()
     }
 
     #[test]
@@ -171,7 +153,7 @@ mod tests {
     fn rejects_short_jobs() {
         let inst = Instance::new([(0, 15, 4)], 1, 10).unwrap();
         assert!(matches!(
-            schedule_long_windows(&inst, &LongWindowOptions::default(), None),
+            schedule_long_windows(&inst, &SolveOptions::default(), None),
             Err(SchedError::Precondition { .. })
         ));
     }
@@ -210,7 +192,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            schedule_long_windows(&inst, &LongWindowOptions::default(), None),
+            schedule_long_windows(&inst, &SolveOptions::default(), None),
             Err(SchedError::Infeasible { .. })
         ));
     }
@@ -229,6 +211,60 @@ mod tests {
     }
 
     #[test]
+    fn lu_update_time_is_recorded_inside_its_phase() {
+        use ise_workloads::{long_only, WorkloadParams};
+        use std::collections::HashMap;
+        let params = WorkloadParams {
+            jobs: 40,
+            machines: 3,
+            calib_len: 10,
+            horizon: 400,
+        };
+        let inst = long_only(&params, 7);
+        let trace = ise_obs::Trace::new(1 << 14);
+        {
+            let _guard = trace.install();
+            // The default LP options run the LU kernel.
+            schedule_long_windows(&inst, &SolveOptions::default(), None).unwrap();
+        }
+        assert_eq!(trace.dropped(), 0);
+        let records = trace.drain();
+        let name_of: HashMap<u32, &str> = records.iter().map(|r| (r.id, r.name)).collect();
+
+        let updates: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == "simplex.lu_update")
+            .collect();
+        assert!(!updates.is_empty(), "no Forrest–Tomlin update was timed");
+        for u in updates {
+            let parent = name_of.get(&u.parent).copied();
+            assert!(
+                matches!(parent, Some("simplex.phase1" | "simplex.phase2")),
+                "simplex.lu_update recorded under {parent:?}, not a phase"
+            );
+        }
+
+        // Per-span (sum of direct children, child count).
+        let mut children: HashMap<u32, (u64, u64)> = HashMap::new();
+        for r in records.iter().filter(|r| r.parent != 0) {
+            let entry = children.entry(r.parent).or_default();
+            entry.0 += r.dur_us;
+            entry.1 += 1;
+        }
+        for r in &records {
+            if let Some(&(sum, count)) = children.get(&r.id) {
+                // Durations are truncated to whole µs: allow 1 µs per child.
+                assert!(
+                    sum <= r.dur_us + count,
+                    "children of {} sum to {sum} µs, past its {} µs",
+                    r.name,
+                    r.dur_us
+                );
+            }
+        }
+    }
+
+    #[test]
     fn fired_interrupt_cancels_before_the_lp_is_built() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
@@ -243,8 +279,10 @@ mod tests {
         }
         let inst = Instance::new([(0, 40, 7), (5, 50, 6)], 1, 10).unwrap();
         let fired = Arc::new(Fired::default());
-        let mut opts = LongWindowOptions::default();
-        opts.lp.interrupt = Some(ise_simplex::InterruptHandle::new(fired.clone()));
+        let opts = SolveOptions {
+            interrupt: Some(ise_simplex::InterruptHandle::new(fired.clone())),
+            ..SolveOptions::default()
+        };
         assert!(matches!(
             schedule_long_windows(&inst, &opts, None),
             Err(SchedError::Cancelled)

@@ -8,83 +8,26 @@
 
 use crate::cancel::CancelToken;
 use crate::error::SchedError;
-use crate::long_window::{schedule_long_windows, LongWindowOptions, LongWindowOutcome};
+use crate::long_window::{schedule_long_windows, LongWindowOutcome};
 use crate::short_window::{
     schedule_short_windows, CrossingPolicy, ShortWindowMemo, ShortWindowOutcome,
 };
-use ise_mm::{
-    ExactMm, GreedyMm, LpRoundMm, MachineMinimizer, MmError, MmSchedule, Portfolio, UnitMm,
-};
+use ise_mm::{ExactMm, GreedyMm, MachineMinimizer, MmError, MmSchedule};
 use ise_model::{Instance, Schedule};
-use ise_simplex::Basis;
-
-/// Choice of machine-minimization black box for the short-window pipeline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum MmBackend {
-    /// Exact branch and bound with the given node budget, falling back to
-    /// the greedy heuristic when the budget runs out. The default: the
-    /// short-window intervals contain few jobs each, so exact is almost
-    /// always affordable and gives `α = 1`.
-    #[default]
-    Auto,
-    /// Exact branch and bound; errors out when the budget is exceeded.
-    Exact,
-    /// EDF first-fit heuristic (no worst-case guarantee; measured
-    /// empirically).
-    Greedy,
-    /// Exact polynomial unit-job MM (requires all `p_j = 1`).
-    Unit,
-    /// LP-rounding heuristic in the Raghavan–Thompson style (the flavor of
-    /// black box the paper's concrete bounds cite).
-    LpRound,
-    /// Best-of portfolio over exact/unit/interval/greedy.
-    Portfolio,
-}
-
-impl MmBackend {
-    /// Canonical CLI/wire name of the backend.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MmBackend::Auto => "auto",
-            MmBackend::Exact => "exact",
-            MmBackend::Greedy => "greedy",
-            MmBackend::Unit => "unit",
-            MmBackend::LpRound => "lp-round",
-            MmBackend::Portfolio => "portfolio",
-        }
-    }
-}
-
-impl std::str::FromStr for MmBackend {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<MmBackend, ()> {
-        Ok(match s {
-            "auto" => MmBackend::Auto,
-            "exact" => MmBackend::Exact,
-            "greedy" => MmBackend::Greedy,
-            "unit" => MmBackend::Unit,
-            "lp-round" => MmBackend::LpRound,
-            "portfolio" => MmBackend::Portfolio,
-            _ => return Err(()),
-        })
-    }
-}
+use ise_simplex::{Basis, SolveOptions};
 
 /// Options for [`solve`].
 #[derive(Clone, Debug, Default)]
 pub struct SolverOptions {
-    /// Long-window pipeline options.
-    pub long: LongWindowOptions,
-    /// MM black box for the short-window pipeline.
-    pub mm: MmBackend,
+    /// Options for the long-window TISE LP (kernel, pricing, tolerances).
+    pub lp: SolveOptions,
     /// Drop calibrations that end up containing no job. Never affects
     /// feasibility; the paper's bounds are proved *without* trimming (its
     /// Algorithm 5 calibrates unconditionally), so experiments report both.
     pub trim_empty_calibrations: bool,
     /// Cooperative cancellation hook, the only one in the pipeline. The
     /// default token never fires. [`solve`] polls it between phases, hands
-    /// it to the short-window pipeline, and installs it as `long.lp`'s
+    /// it to the short-window pipeline, and installs it as `lp`'s
     /// `interrupt` (overriding any caller-set hook), which reaches the
     /// long-window phase boundaries and the simplex pivot loop.
     pub cancel: CancelToken,
@@ -105,20 +48,13 @@ pub struct SolveOutcome {
     pub short_jobs: usize,
 }
 
-/// The MM black box instance behind each [`MmBackend`] choice.
-fn mm_black_box(backend: MmBackend) -> Box<dyn MachineMinimizer> {
-    match backend {
-        MmBackend::Auto => Box::new(AutoMm {
-            exact: ExactMm::default(),
-        }),
-        MmBackend::Exact => Box::new(ExactMm::default()),
-        MmBackend::Greedy => Box::new(GreedyMm),
-        MmBackend::Unit => Box::new(UnitMm),
-        MmBackend::LpRound => Box::new(LpRoundMm::default()),
-        MmBackend::Portfolio => Box::new(Portfolio::standard()),
-    }
-}
-
+/// The production MM black box of the short-window pipeline: exact branch
+/// and bound on intervals of up to 63 jobs (`α = 1`; the intervals hold
+/// few jobs each, so it is almost always affordable), falling back to the
+/// greedy EDF first-fit heuristic when the node budget runs out. Other
+/// black boxes plug in at
+/// [`schedule_short_windows_with`](crate::short_window::schedule_short_windows_with).
+#[derive(Default)]
 struct AutoMm {
     exact: ExactMm,
 }
@@ -141,9 +77,10 @@ impl MachineMinimizer for AutoMm {
 
 /// Solve an ISE instance with the paper's combined algorithm (Theorem 1).
 ///
-/// Returns a feasible schedule using `O(m)` machines (for the default exact
-/// black box) or an error: [`SchedError::Infeasible`] carries a certificate
-/// that no schedule exists on the instance's stated machine count.
+/// Returns a feasible schedule using `O(m)` machines (with the exact black
+/// box, which the short-window pipeline runs whenever its budget allows)
+/// or an error: [`SchedError::Infeasible`] carries a certificate that no
+/// schedule exists on the instance's stated machine count.
 pub fn solve(instance: &Instance, opts: &SolverOptions) -> Result<SolveOutcome, SchedError> {
     solve_inner(instance, opts, None)
 }
@@ -230,10 +167,10 @@ fn solve_inner(
         (!short_jobs.is_empty()).then(|| instance.restrict(short_jobs, instance.machines()));
     let (long_res, short_res) = std::thread::scope(|s| {
         let long_handle = long_sub.as_ref().map(|sub| {
-            let mut lopts = opts.long.clone();
-            lopts.lp.interrupt = Some(opts.cancel.interrupt_handle());
+            let mut lp = opts.lp.clone();
+            lp.interrupt = Some(opts.cancel.interrupt_handle());
             if let Some(ws) = workspace {
-                lopts.lp.workspace = Some(ws.clone());
+                lp.workspace = Some(ws.clone());
             }
             // Carry the trace onto the worker thread so long-window spans
             // stay attached under `solve`.
@@ -241,16 +178,16 @@ fn solve_inner(
             s.spawn(move || {
                 let _trace = ctx.install();
                 let _span = ise_obs::Span::enter("solve.long");
-                schedule_long_windows(sub, &lopts, warm)
+                schedule_long_windows(sub, &lp, warm)
             })
         });
         let short_res = match short_sub.as_ref() {
             None => Ok(None),
             Some(sub) => {
                 let _span = ise_obs::Span::enter("solve.short");
-                let mm = mm_black_box(opts.mm);
                 let policy = CrossingPolicy::ExtraMachines;
-                schedule_short_windows(sub, mm.as_ref(), policy, &opts.cancel, memo).map(Some)
+                schedule_short_windows(sub, &AutoMm::default(), policy, &opts.cancel, memo)
+                    .map(Some)
             }
         };
         let long_res = match long_handle {
@@ -434,31 +371,31 @@ mod tests {
 
     #[test]
     fn backends_all_produce_valid_schedules() {
+        use crate::short_window::schedule_short_windows_with;
+        use ise_mm::{LpRoundMm, Portfolio};
         let inst =
             Instance::new([(0, 12, 6), (3, 17, 6), (20, 33, 8), (22, 35, 8)], 2, 10).unwrap();
-        for mm in [
-            MmBackend::Auto,
-            MmBackend::Exact,
-            MmBackend::Greedy,
-            MmBackend::LpRound,
-            MmBackend::Portfolio,
-        ] {
-            let out = solve(&inst, &SolverOptions { mm, ..defaults() }).unwrap();
+        let backends: [&dyn MachineMinimizer; 5] = [
+            &AutoMm::default(),
+            &ExactMm::default(),
+            &GreedyMm,
+            &LpRoundMm::default(),
+            &Portfolio::standard(),
+        ];
+        for mm in backends {
+            let out = schedule_short_windows_with(&inst, mm, CrossingPolicy::ExtraMachines)
+                .unwrap_or_else(|e| panic!("{}: {e}", mm.name()));
             validate(&inst, &out.schedule).unwrap();
         }
     }
 
     #[test]
     fn unit_backend_on_unit_jobs() {
+        use crate::short_window::schedule_short_windows_with;
         let inst = Instance::new([(0, 3, 1), (0, 3, 1), (1, 4, 1)], 1, 3).unwrap();
-        let out = solve(
-            &inst,
-            &SolverOptions {
-                mm: MmBackend::Unit,
-                ..defaults()
-            },
-        )
-        .unwrap();
+        let out =
+            schedule_short_windows_with(&inst, &ise_mm::UnitMm, CrossingPolicy::ExtraMachines)
+                .unwrap();
         validate(&inst, &out.schedule).unwrap();
     }
 

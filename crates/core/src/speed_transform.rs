@@ -273,8 +273,9 @@ fn transform_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::long_window::{schedule_long_windows, LongWindowOptions};
+    use crate::long_window::schedule_long_windows;
     use ise_model::{validate, Instance, JobId};
+    use ise_simplex::SolveOptions;
 
     #[test]
     fn single_machine_group_keeps_schedule_shape() {
@@ -347,7 +348,7 @@ mod tests {
             10,
         )
         .unwrap();
-        let long = schedule_long_windows(&inst, &LongWindowOptions::default(), None).unwrap();
+        let long = schedule_long_windows(&inst, &SolveOptions::default(), None).unwrap();
         let src_cals = long.schedule.num_calibrations();
         let machines = long.schedule.machines_used().max(1);
         let out = trade_machines_for_speed(&inst, &long.schedule, machines).unwrap();

@@ -14,7 +14,7 @@ use crate::queue::{BoundedQueue, PushError};
 use ise_model::{Instance, Schedule};
 use ise_obs::PhaseTimings;
 use ise_sched::cancel::CancelToken;
-use ise_sched::{solve_with_speed, LpTelemetry, MmBackend, SchedError, SolveReuse, SolverOptions};
+use ise_sched::{solve_with_speed, LpTelemetry, SchedError, SolveReuse, SolverOptions};
 use ise_session::{DeltaMsg, Session, SessionError, SessionTelemetry, Verdict};
 use ise_simplex::Basis;
 use serde::{Deserialize, Serialize};
@@ -83,9 +83,6 @@ pub struct EngineRequest {
     pub instance: Option<Instance>,
     /// Per-request deadline in milliseconds; overrides the engine default.
     pub timeout_ms: Option<u64>,
-    /// MM backend name (`auto`, `exact`, `greedy`, `unit`, `lp-round`,
-    /// `portfolio`); engine default is `auto`.
-    pub mm: Option<String>,
     /// Trim empty calibrations from the result.
     pub trim: Option<bool>,
     /// Speed augmentation factor (`>= 1`); default 1.
@@ -103,7 +100,6 @@ impl EngineRequest {
             id: None,
             instance: Some(instance),
             timeout_ms: None,
-            mm: None,
             trim: None,
             speed: None,
             session: None,
@@ -457,12 +453,7 @@ impl Engine {
                         None,
                     );
                 }
-                let mm = match parse_backend(request.mm.as_deref().unwrap_or("auto")) {
-                    Ok(mm) => mm,
-                    Err(message) => return error(message, None),
-                };
                 let opts = SolverOptions {
-                    mm,
                     trim_empty_calibrations: request.trim.unwrap_or(false),
                     ..SolverOptions::default()
                 };
@@ -650,11 +641,6 @@ fn worker_loop(shared: &Shared) {
 /// just drops spans rather than blocking a worker.
 const TRACE_CAPACITY: usize = 256;
 
-fn parse_backend(name: &str) -> Result<MmBackend, String> {
-    name.parse::<MmBackend>()
-        .map_err(|()| format!("unknown mm backend {name:?}"))
-}
-
 /// Skeleton response for session commands; callers fill in the
 /// command-specific fields.
 fn session_response(id: u64, status: &str, session: Option<SessionInfo>) -> EngineResponse {
@@ -699,10 +685,6 @@ fn handle_request(
     let Some(instance) = &request.instance else {
         return error("request has no `instance`".to_string(), false);
     };
-    let mm = match parse_backend(request.mm.as_deref().unwrap_or("auto")) {
-        Ok(mm) => mm,
-        Err(message) => return error(message, false),
-    };
     let trim = request.trim.unwrap_or(false);
     let speed = request.speed.unwrap_or(1);
     if speed < 1 {
@@ -713,7 +695,7 @@ fn handle_request(
     // into the key — the timeout does not, so a request that previously
     // completed without a deadline can satisfy a tightly-budgeted
     // duplicate.
-    let key = cache_key(instance, &(mm, trim, speed));
+    let key = cache_key(instance, &(trim, speed));
     let probe_span = ise_obs::Span::enter("engine.cache_probe");
     let probed = shared.cache.get(key);
     drop(probe_span);
@@ -757,7 +739,6 @@ fn handle_request(
         None => CancelToken::new(),
     };
     let opts = SolverOptions {
-        mm,
         trim_empty_calibrations: trim,
         cancel: cancel.clone(),
         ..SolverOptions::default()
@@ -1028,7 +1009,6 @@ mod tests {
             id: Some(2),
             instance: None,
             timeout_ms: None,
-            mm: None,
             trim: None,
             speed: None,
             session: Some(SessionCmd {
@@ -1091,7 +1071,6 @@ mod tests {
             id: Some(1),
             instance: None,
             timeout_ms: None,
-            mm: None,
             trim: None,
             speed: None,
             session: Some(SessionCmd {
@@ -1150,7 +1129,6 @@ mod tests {
             id: Some(2),
             instance: None,
             timeout_ms: None,
-            mm: None,
             trim: None,
             speed: None,
             session: Some(SessionCmd {
@@ -1187,7 +1165,6 @@ mod tests {
             id: Some(7),
             instance: None,
             timeout_ms: None,
-            mm: None,
             trim: None,
             speed: None,
             session: None,
@@ -1245,13 +1222,30 @@ mod tests {
     }
 
     #[test]
-    fn bad_backend_is_an_error_response() {
-        let engine = Engine::new(EngineConfig::default());
-        let mut req = EngineRequest::new(tiny_instance(3));
-        req.mm = Some("bogus".to_string());
-        let resp = engine.submit(req).unwrap().wait();
-        assert_eq!(resp.status, status::ERROR);
-        assert!(resp.error.unwrap().contains("bogus"));
+    fn retired_mm_field_is_ignored_like_any_unknown_key() {
+        // The request's old `mm` backend field is no longer part of the
+        // wire format: serde skips it as an unknown key, so the request is
+        // answered by the production black box and shares its cache entry
+        // with the same request sent without the field.
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        // Mixed, so the short-window black box actually runs.
+        let mixed = Instance::new([(0, 40, 7), (0, 12, 6), (3, 17, 6)], 1, 10).unwrap();
+        let instance = serde_json::to_string(&mixed).unwrap();
+        let with_mm: EngineRequest =
+            serde_json::from_str(&format!("{{\"instance\": {instance}, \"mm\": \"greedy\"}}"))
+                .unwrap();
+        let without: EngineRequest =
+            serde_json::from_str(&format!("{{\"instance\": {instance}}}")).unwrap();
+        let first = engine.submit(with_mm).unwrap().wait();
+        assert_eq!(first.status, status::OK, "{:?}", first.error);
+        assert!(!first.cached);
+        let second = engine.submit(without).unwrap().wait();
+        assert_eq!(second.status, status::OK);
+        assert!(second.cached, "same request minus `mm` must hit the cache");
+        assert_eq!(second.schedule, first.schedule);
     }
 
     #[test]

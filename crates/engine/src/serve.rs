@@ -816,10 +816,10 @@ mod tests {
     #[test]
     fn cmd_inside_a_value_is_not_an_admin_command() {
         // `"cmd"` appears as a *value*, not a key: the line must go down
-        // the normal request path (and fail on the unknown backend).
+        // the normal request path (and fail as an unknown session op).
         let input = "{\"id\": 1, \"instance\": {\"jobs\": [{\"id\": 0, \"release\": 0, \
                      \"deadline\": 30, \"proc\": 4}], \"machines\": 1, \"calib_len\": 10}, \
-                     \"mm\": \"cmd\"}\n";
+                     \"session\": {\"op\": \"cmd\"}}\n";
         let mut out = Vec::new();
         serve(input.as_bytes(), &mut out, EngineConfig::default()).unwrap();
         let resp: serde_json::Value =
@@ -827,7 +827,10 @@ mod tests {
                 .unwrap();
         assert_eq!(resp["status"].as_str(), Some("error"));
         assert!(
-            resp["error"].as_str().unwrap().contains("mm backend"),
+            resp["error"]
+                .as_str()
+                .unwrap()
+                .contains("unknown session op `cmd`"),
             "{resp:?}"
         );
     }

@@ -32,7 +32,6 @@ pub mod lower_bound;
 pub mod lp_round;
 pub mod portfolio;
 pub mod problem;
-pub mod speed;
 pub mod unit;
 
 pub use exact::ExactMm;
@@ -42,5 +41,4 @@ pub use lower_bound::{demand_lower_bound, preemptive_lower_bound};
 pub use lp_round::LpRoundMm;
 pub use portfolio::Portfolio;
 pub use problem::{validate_mm, MachineMinimizer, MmError, MmPlacement, MmSchedule};
-pub use speed::{SpeedMmSchedule, SpeedScaled};
 pub use unit::UnitMm;

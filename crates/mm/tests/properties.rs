@@ -1,10 +1,9 @@
 //! Property tests for the machine-minimization crate: every algorithm
-//! produces valid schedules, the lower-bound lattice is ordered, and speed
-//! augmentation is monotone.
+//! produces valid schedules and the lower-bound lattice is ordered.
 
 use ise_mm::{
     demand_lower_bound, preemptive_lower_bound, validate_mm, ExactMm, GreedyMm, IntervalMm,
-    LpRoundMm, MachineMinimizer, Portfolio, SpeedScaled, UnitMm,
+    LpRoundMm, MachineMinimizer, Portfolio, UnitMm,
 };
 use ise_model::Job;
 use proptest::prelude::*;
@@ -52,17 +51,6 @@ proptest! {
         let e = ExactMm::default().minimize(&jobs).expect("small").machines;
         prop_assert!(d <= p, "demand {d} > preemptive {p}");
         prop_assert!(p <= e, "preemptive {p} > exact {e}");
-    }
-
-    /// Speed augmentation never increases the exact machine count, and the
-    /// refined schedule validates against the refined jobs.
-    #[test]
-    fn speed_monotone(jobs in arb_jobs(6), s in 1i64..4) {
-        let base = ExactMm::default().minimize(&jobs).expect("small").machines;
-        let wrapped = SpeedScaled::new(ExactMm::default(), s);
-        let out = wrapped.minimize_scaled(&jobs).expect("small");
-        validate_mm(&wrapped.refine(&jobs), &out.schedule).expect("valid refined");
-        prop_assert!(out.schedule.machines <= base);
     }
 
     /// Unit-job EDF is exactly optimal whenever it applies.

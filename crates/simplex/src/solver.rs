@@ -580,9 +580,6 @@ pub fn solve_warm_ws(
         tableau.numerics.lu_ft_updates += fs.ft_updates;
         tableau.numerics.lu_sparse_solves += fs.sparse_solves;
         tableau.numerics.lu_dense_solves += fs.dense_solves;
-        if tableau.lu_update_time > Duration::ZERO {
-            ise_obs::Span::record("simplex.lu_update", tableau.lu_update_time);
-        }
         carry.absorb(&tableau.numerics);
         // Hand the workspace back — including the factor's storage,
         // recycled by the next solve — on every exit path.
@@ -650,8 +647,9 @@ struct Tableau {
     /// Which rung of the recovery ladder this attempt runs on (0 = the
     /// caller's configuration, 4 = the dense last resort).
     escalation: u8,
-    /// Accumulated Forrest–Tomlin update time (recorded as the
-    /// `simplex.lu_update` span when the LU kernel ran).
+    /// Forrest–Tomlin update time accrued in the current phase (recorded
+    /// as a `simplex.lu_update` span inside that phase when the LU kernel
+    /// ran).
     lu_update_time: Duration,
     /// Set when a residual failure could not be repaired in-loop; tells
     /// the driver in [`solve_warm_ws`] to climb to the next rung.
@@ -904,48 +902,19 @@ impl Tableau {
         };
         if self.m > 0 && self.has_artificials && !warm_used {
             let _phase1_span = ise_obs::Span::enter("simplex.phase1");
-            let phase1_cost: Vec<f64> = self
-                .kind
-                .iter()
-                .map(|k| if *k == VarKind::Artificial { 1.0 } else { 0.0 })
-                .collect();
-            let status = self.optimize(&phase1_cost, /*phase1=*/ true)?;
-            debug_assert_eq!(status, SolveStatus::Optimal, "phase 1 is always bounded");
-            let infeas: f64 = self
-                .basis
-                .iter()
-                .zip(&self.xb)
-                .filter(|&(&v, _)| self.kind[v] == VarKind::Artificial)
-                .map(|(_, &x)| x)
-                .sum();
-            let scale = 1.0 + self.b.iter().map(|v| v.abs()).sum::<f64>();
-            if infeas > self.opts.feas_tol * scale {
-                return Ok(Solution {
-                    status: SolveStatus::Infeasible,
-                    objective: f64::NAN,
-                    x: vec![0.0; self.num_structural],
-                    duals: Vec::new(),
-                    iterations: self.iterations,
-                    refactorizations: self.refactorizations,
-                    basis: None,
-                    warm_used,
-                    pricing: self.stats,
-                    numerics: self.numerics,
-                });
-            }
-            self.drive_out_artificials()?;
-            if matches!(self.factor, Factor::Lu(_)) {
-                // Phase 1 may have stacked many Forrest–Tomlin etas on top
-                // of the initial factorization; start phase 2 from a fresh
-                // Markowitz reinversion so its solves stay hyper-sparse.
-                self.refactorize()?;
+            let phase1 = self.phase1();
+            self.record_lu_update();
+            if let Some(infeasible) = phase1? {
+                return Ok(infeasible);
             }
         }
 
         let cost2 = self.cost2.clone();
         let phase2_span = ise_obs::Span::enter("simplex.phase2");
-        let status = self.optimize(&cost2, /*phase1=*/ false)?;
+        let status = self.optimize(&cost2, /*phase1=*/ false);
+        self.record_lu_update();
         drop(phase2_span);
+        let status = status?;
         // Guaranteed exit check: every solve with rows verifies its final
         // basic system at least once, however few pivots it took.
         if self.m > 0 && status == SolveStatus::Optimal {
@@ -978,6 +947,60 @@ impl Tableau {
             pricing: self.stats,
             numerics: self.numerics,
         })
+    }
+
+    /// Phase 1 (cold starts only): minimize the artificial mass, then
+    /// drive any artificials left at zero out of the basis. Returns the
+    /// `Infeasible` solution when the artificials cannot all reach zero,
+    /// `None` when phase 2 may start.
+    fn phase1(&mut self) -> Result<Option<Solution>, SolverError> {
+        let phase1_cost: Vec<f64> = self
+            .kind
+            .iter()
+            .map(|k| if *k == VarKind::Artificial { 1.0 } else { 0.0 })
+            .collect();
+        let status = self.optimize(&phase1_cost, /*phase1=*/ true)?;
+        debug_assert_eq!(status, SolveStatus::Optimal, "phase 1 is always bounded");
+        let infeas: f64 = self
+            .basis
+            .iter()
+            .zip(&self.xb)
+            .filter(|&(&v, _)| self.kind[v] == VarKind::Artificial)
+            .map(|(_, &x)| x)
+            .sum();
+        let scale = 1.0 + self.b.iter().map(|v| v.abs()).sum::<f64>();
+        if infeas > self.opts.feas_tol * scale {
+            return Ok(Some(Solution {
+                status: SolveStatus::Infeasible,
+                objective: f64::NAN,
+                x: vec![0.0; self.num_structural],
+                duals: Vec::new(),
+                iterations: self.iterations,
+                refactorizations: self.refactorizations,
+                basis: None,
+                warm_used: false,
+                pricing: self.stats,
+                numerics: self.numerics,
+            }));
+        }
+        self.drive_out_artificials()?;
+        if matches!(self.factor, Factor::Lu(_)) {
+            // Phase 1 may have stacked many Forrest–Tomlin etas on top
+            // of the initial factorization; start phase 2 from a fresh
+            // Markowitz reinversion so its solves stay hyper-sparse.
+            self.refactorize()?;
+        }
+        Ok(None)
+    }
+
+    /// Record the Forrest–Tomlin update time accrued since the last call
+    /// as one `simplex.lu_update` span under the currently open span (the
+    /// phase that spent it), and reset the accumulator.
+    fn record_lu_update(&mut self) {
+        let spent = std::mem::take(&mut self.lu_update_time);
+        if spent > Duration::ZERO {
+            ise_obs::Span::record("simplex.lu_update", spent);
+        }
     }
 
     /// Simplex multipliers `y = c_B B⁻¹` via BTRAN, mapped back to the

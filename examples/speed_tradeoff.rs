@@ -11,8 +11,9 @@
 //! ```
 
 use ise::model::{validate, validate_tise, ScheduleStats};
-use ise::sched::long_window::{schedule_long_windows, LongWindowOptions};
+use ise::sched::long_window::schedule_long_windows;
 use ise::sched::speed_transform::trade_machines_for_speed;
+use ise::simplex::SolveOptions;
 use ise::workloads::{long_only, WorkloadParams};
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
     println!("{} long-window jobs, 1 machine, T = 10", instance.len());
 
     // Stage 1: Theorem 12 — O(1) machines, speed 1.
-    let long = schedule_long_windows(&instance, &LongWindowOptions::default(), None)
+    let long = schedule_long_windows(&instance, &SolveOptions::default(), None)
         .expect("long-window pipeline");
     validate_tise(&instance, &long.schedule).expect("TISE-feasible");
     let s1 = ScheduleStats::compute(&instance, &long.schedule);

@@ -3,7 +3,7 @@
 //! ```text
 //! ise generate --family <name> [--jobs N] [--machines M] [--calib-len T]
 //!              [--horizon H] [--seed S] [--out FILE]
-//! ise solve    <instance.json> [--trim] [--mm BACKEND] [--speed S]
+//! ise solve    <instance.json> [--trim] [--speed S]
 //!              [--decompose] [--out FILE]
 //! ise validate <instance.json> <schedule.json> [--tise|--relaxed]
 //! ise bounds   <instance.json>
@@ -13,7 +13,7 @@
 //!              [--metrics FILE] [--metrics-out FILE]
 //!              [--listen HOST:PORT] [--max-connections N]
 //!              [--idle-timeout-ms MS] [--max-line-len BYTES]
-//! ise trace    <instance.json> [--trim] [--mm BACKEND] [--speed S]
+//! ise trace    <instance.json> [--trim] [--speed S]
 //! ise bench    [--quick] [--reps N] [--out FILE] [--check FILE] [--threshold X]
 //!              [--factorization lu|eta|dense]
 //! ise fuzz     [--seed S] [--cases N] [--max-jobs N] [--oracles LIST]
@@ -49,7 +49,7 @@ use ise::sched::decompose::solve_decomposed;
 use ise::sched::exact::{optimal, ExactOptions};
 use ise::sched::improve::{improve, ImproveOptions};
 use ise::sched::lower_bound::lower_bound;
-use ise::sched::{solve_with_speed, MmBackend, SolveReport, SolverOptions};
+use ise::sched::{solve_with_speed, SolveReport, SolverOptions};
 use ise::workloads as wl;
 use std::io::{BufRead, BufWriter, Write};
 use std::process::ExitCode;
@@ -73,7 +73,6 @@ const USAGE: &str = "usage:
                [--jobs N] [--machines M] [--calib-len T] [--horizon H]
                [--seed S] [--out FILE]
   ise solve    <instance.json> [--trim] [--improve] [--audit]
-               [--mm auto|exact|greedy|unit|lp-round|portfolio]
                [--speed S] [--decompose] [--out FILE]
   ise validate <instance.json> <schedule.json> [--tise|--relaxed]
   ise bounds   <instance.json>
@@ -85,14 +84,12 @@ const USAGE: &str = "usage:
                [--metrics FILE] [--metrics-out FILE]
                [--listen HOST:PORT] [--max-connections N]
                [--idle-timeout-ms MS]
-  ise trace    <instance.json> [--trim]
-               [--mm auto|exact|greedy|unit|lp-round|portfolio] [--speed S]
+  ise trace    <instance.json> [--trim] [--speed S]
   ise bench    [--quick] [--reps N] [--out FILE] [--check FILE]
                [--threshold X] [--factorization lu|eta|dense]
                [--skip-session] [--out-session FILE]
                [--check-session FILE]
-  ise session  <script.jsonl> [--trim]
-               [--mm auto|exact|greedy|unit|lp-round|portfolio] [--out FILE]
+  ise session  <script.jsonl> [--trim] [--out FILE]
   ise fuzz     [--seed S] [--cases N] [--max-jobs N] [--max-machines M]
                [--oracles all|budgets,exact,dense,warm,engine,metamorphic,session]
                [--family NAME] [--time-budget SECS] [--corpus DIR]
@@ -244,15 +241,13 @@ fn generate(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_solve(args: &[&String]) -> Result<(), String> {
-    const VALUE: &[&str] = &["--mm", "--speed", "--out"];
+    const VALUE: &[&str] = &["--speed", "--out"];
     const SWITCH: &[&str] = &["--trim", "--improve", "--audit", "--decompose"];
     check_flags(args, VALUE, SWITCH)?;
     let pos = positionals(args, VALUE);
     let path = pos.first().ok_or("solve requires an instance file")?;
     let instance = read_instance(path)?;
-    let mm: MmBackend = parse(args, "--mm", MmBackend::Auto)?;
     let opts = SolverOptions {
-        mm,
         trim_empty_calibrations: flag_present(args, "--trim"),
         ..SolverOptions::default()
     };
@@ -824,14 +819,12 @@ fn run_serve<R: BufRead>(
 /// per-commit telemetry as a JSON array. See [`ise::session::ScriptStep`]
 /// for the line format.
 fn cmd_session(args: &[&String]) -> Result<(), String> {
-    const VALUE: &[&str] = &["--mm", "--out"];
+    const VALUE: &[&str] = &["--out"];
     const SWITCH: &[&str] = &["--trim"];
     check_flags(args, VALUE, SWITCH)?;
     let pos = positionals(args, VALUE);
     let path = pos.first().ok_or("session requires a script file")?;
-    let mm: MmBackend = parse(args, "--mm", MmBackend::Auto)?;
     let opts = SolverOptions {
-        mm,
         trim_empty_calibrations: flag_present(args, "--trim"),
         ..SolverOptions::default()
     };
@@ -907,15 +900,13 @@ fn cmd_session(args: &[&String]) -> Result<(), String> {
 /// span tree — per-phase wall time and share of total — followed by the
 /// usual solve report (with its `phases` summary) on stderr.
 fn cmd_trace(args: &[&String]) -> Result<(), String> {
-    const VALUE: &[&str] = &["--mm", "--speed"];
+    const VALUE: &[&str] = &["--speed"];
     const SWITCH: &[&str] = &["--trim"];
     check_flags(args, VALUE, SWITCH)?;
     let pos = positionals(args, VALUE);
     let path = pos.first().ok_or("trace requires an instance file")?;
     let instance = read_instance(path)?;
-    let mm: MmBackend = parse(args, "--mm", MmBackend::Auto)?;
     let opts = SolverOptions {
-        mm,
         trim_empty_calibrations: flag_present(args, "--trim"),
         ..SolverOptions::default()
     };

@@ -175,7 +175,11 @@ fn unknown_flag_is_rejected() {
     assert!(!ok);
     assert!(err.contains("unknown flag `--frobnicate`"), "{err}");
     // Flags valid for one command are still rejected on another.
-    let (ok, _, err) = ise(&["bounds", "inst.json", "--mm", "greedy"]);
+    let (ok, _, err) = ise(&["bounds", "inst.json", "--speed", "2"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--speed`"), "{err}");
+    // The retired MM backend flag is gone from every command.
+    let (ok, _, err) = ise(&["solve", "inst.json", "--mm", "greedy"]);
     assert!(!ok);
     assert!(err.contains("unknown flag `--mm`"), "{err}");
 }
@@ -188,9 +192,9 @@ fn flag_without_value_is_rejected() {
     assert!(err.contains("--family requires a value"), "{err}");
     // Value position occupied by another flag — and the error fires before
     // the (nonexistent) instance file is ever opened.
-    let (ok, _, err) = ise(&["solve", "no-such-file.json", "--mm", "--trim"]);
+    let (ok, _, err) = ise(&["solve", "no-such-file.json", "--speed", "--trim"]);
     assert!(!ok);
-    assert!(err.contains("--mm requires a value"), "{err}");
+    assert!(err.contains("--speed requires a value"), "{err}");
 }
 
 #[test]

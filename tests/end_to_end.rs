@@ -1,10 +1,12 @@
 //! End-to-end integration tests: workload generators → combined solver →
 //! exact validator → lower bounds, across every workload family.
 
+use ise::mm::GreedyMm;
 use ise::model::{validate, ScheduleStats};
 use ise::sched::audit;
 use ise::sched::lower_bound::lower_bound;
-use ise::sched::{solve, MmBackend, SolverOptions};
+use ise::sched::short_window::{schedule_short_windows_with, CrossingPolicy};
+use ise::sched::{solve, SolverOptions};
 use ise::workloads::{
     boundary_adversarial, long_only, short_only, stockpile, uniform, unit_jobs, WorkloadParams,
 };
@@ -124,15 +126,12 @@ fn greedy_backend_also_validates() {
             horizon: 120,
         };
         let instance = uniform(&params, seed);
-        let outcome = solve(
-            &instance,
-            &SolverOptions {
-                mm: MmBackend::Greedy,
-                ..options()
-            },
-        )
-        .expect("greedy backend");
-        validate(&instance, &outcome.schedule).expect("valid with greedy MM");
+        let (_, short) = instance.partition_long_short();
+        assert!(!short.is_empty(), "seed {seed}: no short jobs");
+        let short = instance.restrict(short, instance.machines());
+        let outcome = schedule_short_windows_with(&short, &GreedyMm, CrossingPolicy::ExtraMachines)
+            .expect("greedy backend");
+        validate(&short, &outcome.schedule).expect("valid with greedy MM");
     }
 }
 

@@ -5,11 +5,12 @@
 use ise::model::{
     shift_schedule, shift_time, validate, validate_tise, Dur, Instance, InstanceBuilder, Time,
 };
-use ise::sched::long_window::{schedule_long_windows, LongWindowOptions};
+use ise::sched::long_window::schedule_long_windows;
 use ise::sched::rounding::{assign_machines, round_calibrations};
 use ise::sched::speed_transform::trade_machines_for_speed;
 use ise::sched::tise::to_tise;
 use ise::sched::{solve, SolverOptions};
+use ise::simplex::SolveOptions;
 use proptest::prelude::*;
 
 /// Strategy: a well-formed instance with `n` jobs, T = 10, bounded horizon.
@@ -57,7 +58,7 @@ proptest! {
     /// valid with exactly 3x the calibrations.
     #[test]
     fn long_pipeline_and_lemma2(instance in arb_instance(8, 1, true)) {
-        let out = match schedule_long_windows(&instance, &LongWindowOptions::default(), None) {
+        let out = match schedule_long_windows(&instance, &SolveOptions::default(), None) {
             Ok(out) => out,
             Err(ise::sched::SchedError::Infeasible { .. }) => return Ok(()),
             Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
@@ -77,7 +78,7 @@ proptest! {
         instance in arb_instance(8, 1, true),
         c in 1usize..5,
     ) {
-        let out = match schedule_long_windows(&instance, &LongWindowOptions::default(), None) {
+        let out = match schedule_long_windows(&instance, &SolveOptions::default(), None) {
             Ok(out) => out,
             Err(_) => return Ok(()),
         };

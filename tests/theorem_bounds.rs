@@ -5,10 +5,11 @@
 use ise::mm::ExactMm;
 use ise::model::{validate, validate_tise, Instance};
 use ise::sched::exact::{optimal, ExactOptions};
-use ise::sched::long_window::{schedule_long_windows, LongWindowOptions};
+use ise::sched::long_window::schedule_long_windows;
 use ise::sched::short_window::{schedule_short_windows_with, CrossingPolicy, GAMMA};
 use ise::sched::speed_transform::trade_machines_for_speed;
 use ise::sched::{solve, SolverOptions};
+use ise::simplex::SolveOptions;
 use ise::workloads::{long_only, short_only, uniform, WorkloadParams};
 
 /// Theorem 12: for long-window instances, at most `18m` machines and at
@@ -23,7 +24,7 @@ fn theorem12_budgets_hold_across_seeds() {
             horizon: 80,
         };
         let instance = long_only(&params, seed);
-        let out = schedule_long_windows(&instance, &LongWindowOptions::default(), None)
+        let out = schedule_long_windows(&instance, &SolveOptions::default(), None)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         validate_tise(&instance, &out.schedule).expect("TISE-valid");
         assert!(
@@ -52,8 +53,7 @@ fn theorem14_speed_trade_across_seeds() {
             horizon: 60,
         };
         let instance = long_only(&params, seed);
-        let long =
-            schedule_long_windows(&instance, &LongWindowOptions::default(), None).expect("t12");
+        let long = schedule_long_windows(&instance, &SolveOptions::default(), None).expect("t12");
         let c = long.schedule.machines_used().max(1);
         let fast = trade_machines_for_speed(&instance, &long.schedule, c).expect("t14");
         validate(&instance, &fast.schedule).expect("valid at speed 2c");
